@@ -1,6 +1,6 @@
 # Convenience targets for the V-System reproduction.
 
-.PHONY: install test bench bench-smoke bench-sweep bench-placement chaos-smoke report-smoke verify-smoke examples demo trace-demo all
+.PHONY: install test bench bench-smoke bench-sweep bench-placement chaos-smoke paper-check report-smoke verify-smoke examples demo trace-demo all
 
 install:
 	pip install -e . || python setup.py develop
@@ -40,11 +40,17 @@ chaos-smoke:
 # (including the placement-plane strata) must pass clean, and the
 # planted ordering mutation must be caught (a harness that has never
 # failed proves nothing).  REPRO_VERIFY_BUDGET=N caps the cell count;
-# the weekly CI job raises it and widens the matrix (see
+# the weekly CI job runs the full 43-cell matrix instead (see
 # docs/TESTING.md).
 verify-smoke:
 	python -m repro verify --matrix sample:10 --seed 7 --workers 2
 	python -m repro verify --matrix sample:10 --seed 7 --workers 2 --mutate skip-same-instant-cancel --expect-fail
+
+# Paper fidelity gate: the paper-table assertions of every
+# benchmarks/bench_*.py except the simulator-core wall-clock bench,
+# with timing disabled (EXPERIMENTS.md E1-E9, A6).
+paper-check:
+	python -m pytest benchmarks/ --ignore=benchmarks/bench_simcore.py --benchmark-disable -q
 
 # Regenerate the canonical migration RunReport and diff it against the
 # checked-in BASELINE_report.json within a 1% tolerance: simulated

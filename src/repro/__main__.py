@@ -376,23 +376,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _fastpath_summary(cluster) -> str:
-    """One-screen account of what the IPC/network fast paths did this
-    run: binding-cache routing, packet-pool recycling, rx coalescing."""
-    hits = misses = fast = 0
+    """One-screen account of the IPC/network data path this run:
+    binding-cache routing and rx coalescing."""
+    hits = misses = 0
     for station in cluster.workstations:
         cache = station.kernel.binding_cache
         hits += cache.hits
         misses += cache.misses
-        fast += cache.fast_hits
-    pool = cluster.net.pool.stats()
     lookups = hits + misses
     lines = [
         "fast path summary",
         f"  binding cache     {hits}/{lookups} hits"
-        + (f" ({100.0 * hits / lookups:.0f}%)" if lookups else "")
-        + f", {fast} memoized-route sends",
-        f"  packet pool       {pool['reused']} reused / "
-        f"{pool['allocated']} allocs, {pool['recycled']} recycled",
+        + (f" ({100.0 * hits / lookups:.0f}%)" if lookups else ""),
         f"  rx batching       {cluster.net.rx_coalesced} deliveries coalesced",
     ]
     return "\n".join(lines)

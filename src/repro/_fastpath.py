@@ -1,41 +1,28 @@
-"""Global switches for the single-simulation fast paths.
+"""Global switches for the simulator's optional modes.
 
-The IPC/network fast paths (packet free-list, message free-list, the
-binding-cache route memo, coalesced same-tick receive processing, the
-per-transport handler table, and memoized wire-cost functions) never
-change a simulation's trajectory -- same seeds give the same simulated
-times, event order and outcomes with every switch on or off.  The
-switches exist so ``benchmarks/bench_simcore.py`` can A/B the wall-clock
-cost of the PR 2-era code paths against the fast ones and *prove* the
-trajectory identity, not so users can mix and match.
+Three switch blocks, each read once at component construction time (a
+per-packet global load would itself be hot-path overhead), so toggling
+only affects simulators built afterwards:
 
-Components read the switches once, at construction time (a per-packet
-global load would itself be hot-path overhead), so toggling only affects
-simulators built afterwards::
+* :data:`FASTPATH` holds one switch, ``event_wheel``, which selects the
+  hybrid event core (now-queue + timer wheel + overflow heap, see
+  :class:`repro.sim.engine.WheelSimulator`) when a ``Simulator`` is
+  constructed.  It is trajectory-neutral -- pop order is provably
+  identical to the reference heap -- and defaults off; set
+  ``REPRO_EVENT_WHEEL=1`` in the environment (as one CI job does for the
+  whole test suite) or assign ``FASTPATH.event_wheel = True`` before
+  building a simulator to opt in.
+* :data:`COPY_PLANE` governs the bulk-transfer data-plane *modes* (burst
+  pacing, adaptive pre-copy).  Those are not trajectory-neutral -- they
+  change which packets exist -- so they default **off** and are opted
+  into per run (benchmarks, ``--copy-plane`` chaos campaigns).
+* :data:`PLACEMENT` installs the placement plane (host-state caches,
+  probing placement); also trajectory-changing and default off.
 
-    from repro._fastpath import FASTPATH
-    FASTPATH.set_all(False)   # build a cluster the PR 2 way
-    ...
-    FASTPATH.set_all(True)    # back to the default
-
-A second switch block, :data:`COPY_PLANE`, governs the bulk-transfer
-data-plane *modes* (burst pacing, adaptive pre-copy).  Those are not
-trajectory-neutral -- they change which packets exist -- so they default
-**off** and are opted into per run (benchmarks, ``--copy-plane`` chaos
-campaigns).  ``FASTPATH.copy_runs`` -- extent-coalesced run descriptors
-instead of per-page lists -- *is* trajectory-neutral and rides the
-default-on block.
-
-``FASTPATH.event_wheel`` selects the hybrid event core (now-queue +
-timer wheel + overflow heap, see :class:`repro.sim.engine.WheelSimulator`)
-when a ``Simulator`` is constructed.  It is trajectory-neutral -- pop
-order is provably identical to the reference heap -- but being the
-engine's foundation it is flipped *explicitly*, not by ``set_all``:
-benchmarks that A/B the PR 2-era fast paths keep whichever event core
-the run was started with.  It defaults off; set ``REPRO_EVENT_WHEEL=1``
-in the environment (as one CI job does for the whole test suite) or
-assign ``FASTPATH.event_wheel = True`` before building a simulator to
-opt in.
+The IPC/network data path itself has no switches: coalesced same-tick
+receive processing (:meth:`repro.net.ethernet.Ethernet.schedule_rx`),
+the per-transport packet-kind handler table and the memoized wire-cost
+figures are simply how the code runs.
 """
 
 from __future__ import annotations
@@ -52,37 +39,13 @@ def _env_flag(name: str, default: bool) -> bool:
 
 
 class FastPathFlags:
-    """One boolean per independently toggleable fast path (default on).
+    """The event-core switch.  ``event_wheel`` defaults to the
+    ``REPRO_EVENT_WHEEL`` environment toggle (off when unset)."""
 
-    ``event_wheel`` is the exception: it picks the event core itself, is
-    exempt from :meth:`set_all`, and defaults to the
-    ``REPRO_EVENT_WHEEL`` environment toggle (off when unset).
-    """
-
-    __slots__ = (
-        "packet_pool",
-        "message_pool",
-        "route_cache",
-        "batched_rx",
-        "handler_cache",
-        "cost_memo",
-        "copy_runs",
-        "event_wheel",
-    )
-
-    #: Switches that set_all leaves alone (explicit opt-in only).
-    _SET_ALL_EXEMPT = frozenset({"event_wheel"})
+    __slots__ = ("event_wheel",)
 
     def __init__(self) -> None:
-        self.set_all(True)
         self.event_wheel = _env_flag("REPRO_EVENT_WHEEL", False)
-
-    def set_all(self, enabled: bool) -> None:
-        """Switch every fast path on or off at once (except the
-        explicit-only event-core switch)."""
-        for name in self.__slots__:
-            if name not in self._SET_ALL_EXEMPT:
-                setattr(self, name, enabled)
 
     def snapshot(self) -> dict:
         """Current switch positions (for benchmark payloads)."""
@@ -172,7 +135,8 @@ def knob_domains() -> dict:
     """Every toggleable knob name -> its switch block ("fastpath",
     "copy_plane" or "placement"), the single source of truth the
     differential verification matrix (:mod:`repro.verify`) builds toggle
-    vectors from.  ``fastpath`` knobs are trajectory-preserving
+    vectors from.  Every knob's canonical default is off.  The
+    ``fastpath`` knob (the event core) is trajectory-preserving
     (byte-identical equivalence class); ``copy_plane`` and ``placement``
     knobs change the modelled trajectory (tolerance-diffed class)."""
     domains = {name: "fastpath" for name in FastPathFlags.__slots__}
@@ -185,20 +149,3 @@ def knob_block(domain: str):
     """The switch-block singleton for a knob domain name."""
     return {"fastpath": FASTPATH, "copy_plane": COPY_PLANE,
             "placement": PLACEMENT}[domain]
-
-
-def knob_default(name: str) -> bool:
-    """The *canonical* default position of a knob: fastpath on,
-    copy-plane off, placement off, ``event_wheel`` off.
-
-    Deliberately ignores ``REPRO_EVENT_WHEEL``: the verification matrix
-    (:mod:`repro.verify`) anchors its baseline here, and the baseline
-    must mean the same cell in every environment -- otherwise forcing
-    the wheel on via the environment would fold the heap-vs-wheel
-    differential axis into a point and differences between the cores
-    (e.g. a planted mutation) would become invisible."""
-    if name in CopyPlaneFlags.__slots__ or name in PlacementFlags.__slots__:
-        return False
-    if name == "event_wheel":
-        return False
-    return True

@@ -7,18 +7,6 @@ Entries are updated from incoming packets and from query responses, and
 invalidated when a destination stops responding; migration works because
 rebinding the logical host updates the caches lazily via exactly these
 paths (§3.1.4).
-
-Route fast path.  The transport memoizes fully-resolved routes
-(pid → local-dispatch or pid → physical address) and skips re-running
-resolution while the binding world is unchanged.  "Unchanged" is
-tracked here as a single :attr:`epoch` integer, bumped whenever a
-resolution input moves: a binding *changes* (learning the same address
-again only refreshes the timestamp), a binding is invalidated, or the
-owning kernel's set of hosted logical hosts changes (migration adopting
-or releasing a logical host calls :meth:`note_topology_change`).  A
-memoized route is valid exactly while its recorded epoch matches, so a
-migration rebind invalidates every stale route at the cost of one
-integer compare per send.
 """
 
 from __future__ import annotations
@@ -37,12 +25,6 @@ class BindingCache:
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
-        #: Sends routed via the transport's memoized-route fast path /
-        #: resolved the long way (and memoized for next time).
-        self.fast_hits = 0
-        self.fast_misses = 0
-        #: Bumped on every event that can change a resolution result.
-        self.epoch = 0
         #: Rebinding kill switch (test hook, paired with
         #: ``Transport.rebind_enabled``): with False, :meth:`learn` will
         #: insert missing bindings but never *move* an existing one, so
@@ -52,7 +34,6 @@ class BindingCache:
         self._metrics = None
         self._m_hits = None
         self._m_misses = None
-        self._m_fast_hits = None
 
     def bind_metrics(self, registry, host: str) -> None:
         """Register the cache's obs instruments under the owning
@@ -60,7 +41,6 @@ class BindingCache:
         self._metrics = registry
         self._m_hits = registry.counter("ipc.binding_hits", host)
         self._m_misses = registry.counter("ipc.binding_misses", host)
-        self._m_fast_hits = registry.counter("ipc.binding_fast_hits", host)
 
     def lookup(self, lhid: int) -> Optional[HostAddress]:
         """Cached address for a logical host, or None."""
@@ -76,33 +56,12 @@ class BindingCache:
             self._m_hits.inc()
         return entry[0]
 
-    def note_fast_hit(self, cached: bool = True) -> None:
-        """A send was routed from the transport's route memo.  With
-        ``cached`` (the default) the memoized route replaced a cached-
-        binding lookup, so :attr:`hits` advances too -- counter parity
-        with the long path; memoized *local* routes never consulted the
-        cache and pass ``cached=False``."""
-        self.fast_hits += 1
-        m = self._metrics
-        if m is not None and m.active:
-            self._m_fast_hits.inc()
-        if cached:
-            self.hits += 1
-            if m is not None and m.active:
-                self._m_hits.inc()
-
     def learn(self, lhid: int, address: HostAddress) -> None:
         """Record (or refresh) a binding, e.g. from an incoming packet's
         source fields or a query response."""
         entry = self._entries.get(lhid)
-        if entry is None or entry[0] != address:
-            if entry is not None and not self.refresh_enabled:
-                return  # broken-rebinding mode: the stale entry wins
-            # The mapping actually moved: stale memoized routes must die.
-            # A same-address refresh keeps the epoch (it changes nothing a
-            # route depends on), which is what keeps the memo effective --
-            # every incoming request refreshes its sender's binding.
-            self.epoch += 1
+        if entry is not None and entry[0] != address and not self.refresh_enabled:
+            return  # broken-rebinding mode: the stale entry wins
         self._entries[lhid] = (address, self._sim.now)
 
     def invalidate(self, lhid: int) -> None:
@@ -110,7 +69,6 @@ class BindingCache:
         if lhid in self._entries:
             del self._entries[lhid]
             self.invalidations += 1
-            self.epoch += 1
 
     def invalidate_address(self, address: HostAddress) -> int:
         """Drop every binding that points at one physical host.  Used by
@@ -125,16 +83,8 @@ class BindingCache:
         ]
         for lhid in stale:
             del self._entries[lhid]
-        if stale:
-            self.invalidations += len(stale)
-            self.epoch += 1
+        self.invalidations += len(stale)
         return len(stale)
-
-    def note_topology_change(self) -> None:
-        """The owning kernel started or stopped hosting a logical host
-        (boot, migration adopt/release, crash): local-vs-remote routing
-        decisions may have flipped, so memoized routes must re-resolve."""
-        self.epoch += 1
 
     def entry_age(self, lhid: int) -> Optional[int]:
         """Microseconds since the binding was learned, or None."""

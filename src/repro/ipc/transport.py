@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro._fastpath import FASTPATH
 from repro.config import PAGE_SIZE
 from repro.errors import (
     CopyFailedError,
@@ -35,8 +34,7 @@ from repro.errors import (
     NoSuchProcessError,
     SendTimeoutError,
 )
-from repro.ipc.messages import Message, release_message
-from repro.kernel.address_space import PageRuns
+from repro.ipc.messages import Message
 from repro.kernel.ids import (
     KERNEL_SERVER_INDEX,
     Pid,
@@ -48,9 +46,6 @@ from repro.net.packet import Packet
 
 
 from repro.ipc.copyops import CopyEngine, PageSnapshot
-
-#: Upper bound on memoized routes per transport before a wholesale flush.
-_ROUTE_MEMO_MAX = 1024
 
 
 class ClientRecord:
@@ -169,25 +164,13 @@ class Transport:
         #: that must trip the no-residual-dependency invariant.
         self.rebind_enabled = True
         nic.install_handler(self.on_packet)
-        # ---- fast paths (see repro._fastpath; None = disabled)
         #: packet kind -> bound handler, built lazily; replaces a
         #: per-packet f-string + getattr on the hottest receive path.
-        self._handlers: Optional[Dict[str, Any]] = (
-            {} if FASTPATH.handler_cache else None
-        )
-        #: dst pid -> (epoch, counts_group_lookup, address|None, delay),
-        #: valid while the binding cache's epoch is unchanged.  Bounded:
-        #: flushed wholesale past _ROUTE_MEMO_MAX (routes rebuild in one
-        #: send each, so a flush is cheap; an actual LRU would cost more
-        #: bookkeeping per send than it saves).
-        self._routes: Optional[Dict[Pid, tuple]] = (
-            {} if FASTPATH.route_cache else None
-        )
+        self._handlers: Dict[str, Any] = {}
         #: model.bulk_copy_us(PAGE_SIZE) is a pure function of constants;
-        #: _record_interval recomputes it per (re)transmission otherwise.
-        self._page_copy_us: Optional[int] = (
-            model.bulk_copy_us(PAGE_SIZE) if FASTPATH.cost_memo else None
-        )
+        #: _record_interval would otherwise recompute it per
+        #: (re)transmission.
+        self._page_copy_us: int = model.bulk_copy_us(PAGE_SIZE)
         # ---- counters for experiment reports
         self.sends = 0
         self.remote_requests = 0
@@ -251,9 +234,7 @@ class Transport:
         if dst.is_global_group:
             raise IpcError("CopyTo to a global group is meaningless")
         record = ClientRecord(pcb, dst, None, "copyto")
-        # Coalesced run descriptors stay as-is end to end; the engine
-        # snapshots them in batch off the flat version array.
-        record.pages = pages if isinstance(pages, PageRuns) else tuple(pages)
+        record.pages = tuple(pages)
         self._begin_client_op(record)
         return record
 
@@ -296,10 +277,8 @@ class Transport:
         ``model.retransmit_backoff_cap_us`` -- so retry storms back off
         a lossy segment instead of saturating it."""
         stream_pages = max(len(record.pages), len(record.indexes))
-        page_us = self._page_copy_us
-        if page_us is None:
-            page_us = self.model.bulk_copy_us(PAGE_SIZE)
-        interval = self.model.retransmit_interval_us + page_us * stream_pages
+        interval = (self.model.retransmit_interval_us
+                    + self._page_copy_us * stream_pages)
         factor = self.model.retransmit_backoff
         if factor > 1.0:
             attempt = self.model.max_retransmissions - record.retries_left
@@ -317,49 +296,19 @@ class Transport:
             self.group_lookups += 1
             self._send_request_packet(record, BROADCAST)
             return
-        routes = self._routes
-        cache = self.cache
-        if routes is not None:
-            route = routes.get(dst)
-            if route is not None and route[0] == cache.epoch:
-                # Stable binding: replay the resolved route (and exactly
-                # the counters the long path below would have bumped).
-                if route[1]:
-                    self.group_lookups += 1
-                address = route[2]
-                if address is None:
-                    self.local_requests += 1
-                    cache.note_fast_hit(cached=False)
-                    self._sched(route[3], self._deliver_request_local, record)
-                else:
-                    self.remote_requests += 1
-                    cache.note_fast_hit()
-                    self._send_request_packet(record, address)
-                return
         lhid = dst.logical_host_id
-        wellknown = is_wellknown_local_group(dst)
-        if wellknown:
+        if is_wellknown_local_group(dst):
             self.group_lookups += 1
         if self.kernel.hosts_lhid(lhid):
             self.local_requests += 1
             delay = self.model.local_rpc_us // 2
             if dst.is_group:
                 delay += self.model.group_id_lookup_us
-            if routes is not None:
-                cache.fast_misses += 1
-                if len(routes) >= _ROUTE_MEMO_MAX:
-                    routes.clear()
-                routes[dst] = (cache.epoch, wellknown, None, delay)
             self._sched(delay, self._deliver_request_local, record)
             return
-        address = cache.lookup(lhid)
+        address = self.cache.lookup(lhid)
         if address is not None:
             self.remote_requests += 1
-            if routes is not None:
-                cache.fast_misses += 1
-                if len(routes) >= _ROUTE_MEMO_MAX:
-                    routes.clear()
-                routes[dst] = (cache.epoch, wellknown, address, 0)
             self._send_request_packet(record, address)
         else:
             self._broadcast_ghq(lhid)
@@ -499,20 +448,12 @@ class Transport:
     def on_packet(self, packet: Packet) -> None:
         """NIC entry point: dispatch one arriving frame after the
         kernel's per-packet protocol-processing time."""
-        handlers = self._handlers
-        if handlers is not None:
-            handler = handlers.get(packet.kind)
-            if handler is None:
-                handler = getattr(
-                    self, f"_on_{packet.kind.replace('-', '_')}", None
-                )
-                if handler is None:
-                    raise IpcError(f"unknown packet kind {packet.kind!r}")
-                handlers[packet.kind] = handler
-        else:
+        handler = self._handlers.get(packet.kind)
+        if handler is None:
             handler = getattr(self, f"_on_{packet.kind.replace('-', '_')}", None)
             if handler is None:
                 raise IpcError(f"unknown packet kind {packet.kind!r}")
+            self._handlers[packet.kind] = handler
         self.nic.schedule_rx(self.model.packet_process_us, handler, packet)
 
     # ---- requests
@@ -787,15 +728,6 @@ class Transport:
             )
             return
         self._servers.pop(record.key, None)
-        # The record is dead; offer its messages back to the free list
-        # (refcount-guarded, so a message the application -- or a local
-        # client record -- still holds is never recycled).
-        message, record.message = record.message, None
-        if message is not None:
-            release_message(message)
-        reply, record.reply_message = record.reply_message, None
-        if reply is not None:
-            release_message(reply)
 
     def _on_reply(self, packet: Packet) -> None:
         payload = packet.payload

@@ -9,8 +9,8 @@ two purposes only:
   the flat bitmap implementation through identical operation sequences
   and asserts observation equivalence (same version vectors, same
   ``collect_dirty`` ordering, same ``identical_to`` verdicts);
-* ``benchmarks/bench_simcore.py`` uses it as the baseline that the
-  bitmap fast paths are measured against.
+* the pre-copy microbenchmark in ``benchmarks/bench_simcore.py`` uses
+  it as the baseline that the bitmap page table is measured against.
 
 Production code must import :class:`repro.kernel.AddressSpace` instead.
 """
@@ -57,10 +57,6 @@ class LegacyPage:
 
 class LegacyAddressSpace:
     """The seed AddressSpace: a list of page objects, scanned in full."""
-
-    #: Consumers branch on this to pick bitmap fast paths; the legacy
-    #: representation keeps them on the seed's O(n_pages) walks.
-    FLAT = False
 
     def __init__(
         self,

@@ -70,23 +70,6 @@ def iter_bits(mask: int) -> Iterator[int]:
     return iter(bit_indexes(mask))
 
 
-def mask_runs(mask: int) -> List[Tuple[int, int]]:
-    """Maximal runs of consecutive set bits as ``(start, length)``
-    pairs, ascending.  Lets batch operations (bulk copies, flush
-    scheduling) work on extents instead of individual pages."""
-    runs = []
-    base = 0
-    while mask:
-        zeros = (mask & -mask).bit_length() - 1
-        mask >>= zeros
-        base += zeros
-        ones = (~mask & (mask + 1)).bit_length() - 1
-        runs.append((base, ones))
-        mask >>= ones
-        base += ones
-    return runs
-
-
 class Page:
     """A view of one page of a simulated address space.
 
@@ -200,76 +183,6 @@ class _PageViews:
         return f"<pages of {self.space!r}>"
 
 
-class PageRuns:
-    """Contiguous page extents of one space, as a page sequence.
-
-    The coalesced form the copy data plane moves around: a tuple of
-    ``(start, length)`` runs straight off a dirty bitmap instead of one
-    :class:`Page` object per page.  Behaves like the page sequences the
-    seed-era call sites expect -- ``len`` is the total page count,
-    iteration and indexing yield the shared :class:`Page` views in
-    ascending order -- so instruction interpreters, invariant hooks and
-    the per-page stream path all take it unchanged, while batch
-    consumers (snapshot capture, burst framing, NAK lookup) use
-    :meth:`index_list` and :meth:`has_index` to stay off the view
-    objects entirely.
-    """
-
-    __slots__ = ("space", "runs", "mask", "_count", "_indexes")
-
-    def __init__(
-        self,
-        space: "AddressSpace",
-        runs: Iterable[Tuple[int, int]],
-        mask: Optional[int] = None,
-    ):
-        self.space = space
-        self.runs = tuple(runs)
-        if mask is None:
-            mask = 0
-            for start, length in self.runs:
-                mask |= ((1 << length) - 1) << start
-        #: Bitmask of the covered pages (membership tests in O(1)).
-        self.mask = mask
-        self._count = sum(run[1] for run in self.runs)
-        self._indexes: Optional[List[int]] = None
-
-    def index_list(self) -> List[int]:
-        """The covered page indexes, ascending (materialized once)."""
-        indexes = self._indexes
-        if indexes is None:
-            indexes = []
-            for start, length in self.runs:
-                indexes.extend(range(start, start + length))
-            self._indexes = indexes
-        return indexes
-
-    def has_index(self, index: int) -> bool:
-        """Whether ``index`` falls inside one of the runs."""
-        return bool((self.mask >> index) & 1)
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            views = self.space._views()
-            return [views[j] for j in self.index_list()[i]]
-        return self.space._views()[self.index_list()[i]]
-
-    def __iter__(self) -> Iterator[Page]:
-        views = self.space._views()
-        for start, length in self.runs:
-            for index in range(start, start + length):
-                yield views[index]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<PageRuns {self._count}p/{len(self.runs)} runs "
-            f"of {self.space.name}>"
-        )
-
-
 class AddressSpace:
     """A simulated V address space (one per team).
 
@@ -280,10 +193,6 @@ class AddressSpace:
     first copy round moves them while the program keeps running and later
     rounds never see them dirty (paper §3.1.2).
     """
-
-    #: Marks the flat (bitmask) representation; consumers use this to
-    #: pick O(dirty) fast paths over the seed-compatible object walk.
-    FLAT = True
 
     def __init__(
         self,
@@ -477,26 +386,6 @@ class AddressSpace:
         self._dirty = 0
         return bit_indexes(mask)
 
-    def dirty_runs(self) -> List[Tuple[int, int]]:
-        """The dirty set as ``(start, length)`` extents, for batched
-        transfers."""
-        return mask_runs(self._dirty)
-
-    def collect_dirty_runs(self) -> PageRuns:
-        """Gather-and-clear the dirty set as coalesced extents: the
-        O(dirty) run iterator the copy data plane streams from.  Covers
-        exactly the pages :meth:`collect_dirty` would return."""
-        mask = self._dirty
-        self._dirty = 0
-        return PageRuns(self, mask_runs(mask), mask)
-
-    def full_runs(self) -> PageRuns:
-        """The whole space as one extent (pre-copy round 0)."""
-        return PageRuns(
-            self, ((0, self._n_pages),) if self._n_pages else (),
-            self._full_mask,
-        )
-
     def clear_referenced(self) -> None:
         """Clear all reference bits (VM clock hand sweep)."""
         self._referenced = 0
@@ -535,19 +424,6 @@ class AddressSpace:
                 )
             self.versions[: src._n_pages] = src.versions
             self._resident |= src._full_mask
-            return
-        if isinstance(pages, PageRuns):
-            # Coalesced extents: one array slice per run.
-            src = pages.space
-            for start, length in pages.runs:
-                end = start + length
-                if end > self._n_pages:
-                    raise KernelError(
-                        f"copied page {end - 1} outside destination space "
-                        f"of {self._n_pages} pages"
-                    )
-                self.versions[start:end] = src.versions[start:end]
-            self._resident |= pages.mask
             return
         n = self._n_pages
         versions = self.versions

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import KernelError
-from repro.kernel.address_space import PageRuns
 from repro.kernel.ids import Pid
 
 
@@ -171,11 +170,7 @@ class CopyToInstr:
 
     def __init__(self, dst: Pid, pages: Sequence[Any]):
         object.__setattr__(self, "dst", dst)
-        # Coalesced run descriptors travel as-is; anything else is
-        # snapshotted into a tuple as before.
-        if not isinstance(pages, PageRuns):
-            pages = tuple(pages)
-        object.__setattr__(self, "pages", pages)
+        object.__setattr__(self, "pages", tuple(pages))
 
 
 @dataclass(frozen=True)

@@ -78,17 +78,12 @@ def run_freeze_and_copy(
     stats.freeze_started_at = sim.now
     bundle = None
     try:
-        from repro._fastpath import FASTPATH
         from repro.kernel.process import CopyToInstr
 
         for ordinal, space in enumerate(lh.spaces):
             target = Pid(temp_lhid, reps[ordinal])
             space.collect_dirty()
-            if FASTPATH.copy_runs and getattr(space, "FLAT", False):
-                pages = space.full_runs()
-            else:
-                pages = space.pages
-            yield CopyToInstr(target, pages)
+            yield CopyToInstr(target, space.pages)
             stats.residual_pages += len(space.pages)
         bundle = extract_bundle(kernel, lh)
         install_reply = yield Send(

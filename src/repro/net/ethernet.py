@@ -5,10 +5,8 @@ the in-flight frame (this is what makes bulk CopyTo traffic contend with
 IPC traffic, as on the paper's real 10 Mbit segment).  Broadcast frames
 are delivered to every attached NIC except the sender's.
 
-Fast paths (all trajectory-preserving, see ``repro._fastpath``):
+Two hot-path economies, neither of which changes a trajectory:
 
-* the segment owns the :class:`~repro.net.packet.PacketPool` that
-  recycles fully-delivered frames;
 * wire times are memoized per payload size (the cost model is a pure
   function and a simulation uses only a handful of distinct sizes);
 * **coalesced receive processing**: every kernel charges the same
@@ -21,20 +19,22 @@ Fast paths (all trajectory-preserving, see ``repro._fastpath``):
   foreign event can sort between the batched handlers; running them
   back-to-back inside one event is therefore order-identical to running
   them as separate events.  Each batched handler still counts as one
-  processed event so budgets and event-count comparisons are stable
-  across the toggle.
+  processed event so budgets and event counts match the unbatched
+  execution.  A simulator carrying a schedule perturber
+  (:class:`repro.verify.perturb.TiePerturber`) gets no coalescing: V
+  kernels give a broadcast's receive handlers no defined order, so the
+  perturber must see each one as its own same-instant schedule.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro._fastpath import FASTPATH
 from repro.config import DEFAULT_MODEL, HardwareModel
 from repro.errors import SimulationError
 from repro.net.addresses import HostAddress
 from repro.net.loss import LossModel, NoLoss
-from repro.net.packet import Packet, PacketPool
+from repro.net.packet import Packet
 
 
 class Ethernet:
@@ -68,14 +68,9 @@ class Ethernet:
         self.packets_sent = 0
         self.packets_dropped = 0
         self.bytes_sent = 0
-        #: Free list for fully-delivered frames (see repro.net.packet).
-        self.pool = PacketPool(enabled=FASTPATH.packet_pool)
-        self.pool.bind_metrics(sim.metrics)
         #: Same-tick receive-processing events coalesced into one.
         self.rx_coalesced = 0
-        self._batch_enabled = FASTPATH.batched_rx
         self._rx_batch: Optional[list] = None  # [time, guard_seq, items]
-        self._cost_memo = FASTPATH.cost_memo
         self._wire_us: Dict[int, int] = {}
         # Per-source instruments, labelled by str(address) -- the net
         # layer has no workstation names (repro.obs metric catalog).
@@ -133,12 +128,9 @@ class Ethernet:
         is next free; receivers see it at the end of that interval.
         """
         size = packet.size_bytes
-        if self._cost_memo:
-            wire_us = self._wire_us.get(size)
-            if wire_us is None:
-                wire_us = self._wire_us[size] = self.model.packet_wire_us(size)
-        else:
-            wire_us = self.model.packet_wire_us(size)
+        wire_us = self._wire_us.get(size)
+        if wire_us is None:
+            wire_us = self._wire_us[size] = self.model.packet_wire_us(size)
         now = self.sim.now
         start = self._busy_until
         if start < now:
@@ -185,10 +177,6 @@ class Ethernet:
                 self._count_drop(packet, nic, trace)
                 continue
             nic.receive(packet)
-        # Recycle unless a receiver kept the frame (a scheduled handler,
-        # a test's capture list, ...); held=1 accounts for the fired
-        # timer's args tuple the run loop still references.
-        self.pool.release(packet, held=1)
 
     def _count_drop(self, packet: Packet, nic, trace) -> None:
         self.packets_dropped += 1
@@ -207,9 +195,7 @@ class Ethernet:
     def _deliver_with_faults(self, faults, packet: Packet, nic, trace) -> bool:
         """Apply the fault plane's plan for one delivery.  Returns True
         when the caller must NOT deliver the frame inline (discarded or
-        deferred); duplicate and delayed copies are scheduled here, and
-        the frames they reference stay alive through the timers' args
-        (the refcount-guarded pool never recycles a held packet)."""
+        deferred); duplicate and delayed copies are scheduled here."""
         plan = faults.plan(self.sim, packet)
         if plan.dropped or plan.corrupted:
             self._count_drop(packet, nic, trace)
@@ -244,17 +230,14 @@ class Ethernet:
     def schedule_rx(self, delay_us: int, fn, packet: Packet) -> None:
         """Schedule one receive-processing callback, coalescing it into
         the open same-time batch when provably order-identical (see the
-        module docstring).  The batch runner releases each packet back to
-        the pool once its handler has run."""
+        module docstring)."""
         sim = self.sim
+        if sim._perturber is not None:
+            sim.schedule(delay_us, fn, packet)
+            return
         time = sim._now + delay_us
         batch = self._rx_batch
-        if (
-            batch is not None
-            and batch[0] == time
-            and batch[1] == sim._seq
-            and self._batch_enabled
-        ):
+        if batch is not None and batch[0] == time and batch[1] == sim._seq:
             batch[2].append((fn, packet))
             self.rx_coalesced += 1
             return
@@ -276,9 +259,5 @@ class Ethernet:
         extra = len(items) - 1
         if extra:
             sim._event_count += extra
-        pool = self.pool
-        for i in range(len(items)):
-            fn, packet = items[i]
-            items[i] = None  # drop the tuple so release sees only us
+        for fn, packet in items:
             fn(packet)
-            pool.release(packet)

@@ -50,20 +50,16 @@ class Nic:
         payload,
         size_bytes: int = 64,
     ) -> None:
-        """Build a frame from us to ``dst`` -- recycled through the
-        segment's packet pool when possible -- and transmit it.  The
+        """Build a frame from us to ``dst`` and transmit it.  The
         preferred way for protocol code to send."""
         ethernet = self.ethernet
         if ethernet is None:
             return
-        ethernet.transmit(
-            ethernet.pool.alloc(self.address, dst, kind, payload, size_bytes)
-        )
+        ethernet.transmit(Packet(self.address, dst, kind, payload, size_bytes))
 
     def schedule_rx(self, delay_us: int, fn, packet: Packet) -> None:
         """Schedule protocol processing of a received frame, letting the
-        segment coalesce same-tick processing events (and recycle the
-        frame afterwards)."""
+        segment coalesce same-tick processing events."""
         ethernet = self.ethernet
         if ethernet is None:
             self.sim.schedule(delay_us, fn, packet)

@@ -1,10 +1,10 @@
 """Differential verification: toggle matrices, schedule perturbation,
 failure minimization.
 
-The repository carries two kinds of switchable machinery: fast paths
-that must never change a trajectory (:data:`repro._fastpath.FASTPATH`,
-including the event core itself) and protocol modes that deliberately
-do (:data:`repro._fastpath.COPY_PLANE`).  This package *checks* those
+The repository carries two kinds of switchable machinery: an event
+core that must never change a trajectory
+(:data:`repro._fastpath.FASTPATH`) and protocol modes that deliberately
+do (:data:`repro._fastpath.COPY_PLANE`, :data:`repro._fastpath.PLACEMENT`).  This package *checks* those
 promises instead of assuming them:
 
 * :mod:`repro.verify.matrix` -- run one scenario across a matrix of

@@ -7,8 +7,8 @@ class* the cell's payload is expected to fall into relative to the
 baseline cell (all defaults, same seed):
 
 ``byte``
-    Trajectory-preserving deltas only (``fastpath`` knobs, including
-    the event core): the payload must be **byte-identical** to the
+    Trajectory-preserving deltas only (the ``fastpath`` event-core
+    knob ``event_wheel``): the payload must be **byte-identical** to the
     baseline (:func:`repro.verify.scenario.canonical_digest`).
 ``tolerant``
     Copy-plane deltas change which packets exist: the four stable
@@ -43,7 +43,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro._fastpath import knob_default, knob_domains
+from repro._fastpath import knob_domains
 from repro.errors import SimulationError
 from repro.obs.diff import _entry
 from repro.sim.random import derive_seed
@@ -80,7 +80,8 @@ def make_cell(
     label: Optional[str] = None,
 ) -> Dict[str, Any]:
     """One matrix cell.  ``toggles`` holds only deltas from the shipped
-    defaults (unknown names raise); the equivalence class is derived
+    defaults -- every knob defaults off, so the deltas are the knobs
+    switched on (unknown names raise); the equivalence class is derived
     from the knobs, never guessed by callers."""
     domains = knob_domains()
     deltas: Dict[str, bool] = {}
@@ -89,8 +90,8 @@ def make_cell(
             raise SimulationError(
                 f"unknown toggle {name!r}; known: {', '.join(sorted(domains))}"
             )
-        if bool(value) != knob_default(name):
-            deltas[name] = bool(value)
+        if value:
+            deltas[name] = True
     if perturb is not None and deltas.get("event_wheel"):
         raise SimulationError(
             "schedule perturbation requires the reference heap core; "
@@ -116,28 +117,20 @@ def make_cell(
 
 def sample_matrix(n: int, seed: int = 0) -> List[Dict[str, Any]]:
     """A stratified sample of ``n`` cells (first is always the
-    baseline).  The first eight cover every equivalence class and both
-    event cores, cells nine and ten the placement plane; beyond that,
+    baseline).  The first six cover every equivalence class and both
+    event cores, cells seven and eight the placement plane; beyond that,
     deterministic random toggle vectors fill the budget (seeded from
     ``seed``, so the same matrix replays)."""
     if n < 2:
         raise SimulationError("a differential matrix needs >= 2 cells")
-    fastpath_off = {
-        name: False for name, dom in knob_domains().items()
-        if dom == "fastpath" and name != "event_wheel"
-    }
     strata = [
         make_cell(),
         make_cell({"event_wheel": True}),
-        make_cell(fastpath_off),
-        make_cell(dict(fastpath_off, event_wheel=True)),
         make_cell({"burst_pacing": True}),
         make_cell({"burst_pacing": True, "adaptive_precopy": True}),
         make_cell(perturb={"seed": derive_seed(seed, "verify:perturb:0"),
                            "rate": 0.25}),
         make_cell(schedule=_SAMPLE_SCHEDULE),
-        # Placement strata ride after the original eight so budgeted
-        # prefixes of older matrices stay byte-for-byte the same.
         make_cell({"load_cache": True}),
         make_cell({"load_cache": True, "probe_placement": True}),
     ]

@@ -28,9 +28,11 @@ trace (:attr:`TiePerturber.swaps`, opportunity ordinals) replays to the
 identical permutation -- the whole triple (toggle vector, seed, trace)
 is a pure function of its inputs.
 
-Off by default and orthogonal to :data:`repro._fastpath.FASTPATH`
-(``set_all`` never touches it; nothing constructs one outside the
-verification harness).
+Off by default and orthogonal to the :mod:`repro._fastpath` switch
+blocks (nothing constructs one outside the verification harness).  While
+one is installed the Ethernet schedules every receive handler as its own
+event instead of coalescing same-tick handlers, so broadcast fan-out
+offers the perturber a swap opportunity per receiver.
 """
 
 from __future__ import annotations

@@ -239,14 +239,15 @@ def ordering_scenario(
 # --------------------------------------------------------------- cell wrapper
 
 def _apply_toggles(toggles: Dict[str, bool]) -> None:
-    """Pin every knob to canonical-default XOR the cell's deltas.
+    """Pin every knob to its canonical default (off) unless the cell's
+    deltas switch it on.
 
     Resetting *all* knobs first (not just the deltas) makes the cell's
     effective toggle vector a pure function of the cell -- inherited
     process state such as ``REPRO_EVENT_WHEEL=1`` must not leak in, or
     the baseline would silently run on the wheel core and the
     heap-vs-wheel differential axis would collapse."""
-    from repro._fastpath import knob_block, knob_default, knob_domains
+    from repro._fastpath import knob_block, knob_domains
 
     domains = knob_domains()
     for name in sorted(toggles):
@@ -257,7 +258,7 @@ def _apply_toggles(toggles: Dict[str, bool]) -> None:
             )
     for name, domain in domains.items():
         setattr(knob_block(domain), name,
-                bool(toggles.get(name, knob_default(name))))
+                bool(toggles.get(name, False)))
 
 
 def run_cell_config(config: Dict[str, Any]) -> Dict[str, Any]:

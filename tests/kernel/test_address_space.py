@@ -134,68 +134,3 @@ def test_version_vector_equality_semantics():
     a = AddressSpace(PAGE_SIZE * 3)
     a.touch_pages([1])
     assert a.version_vector() == {0: 0, 1: 1, 2: 0}
-
-
-class TestPageRuns:
-    def test_collect_dirty_runs_coalesces_and_clears(self):
-        from repro.kernel.address_space import PageRuns
-
-        space = AddressSpace(PAGE_SIZE * 16)
-        space.touch_pages([2, 3, 4, 9, 12, 13])
-        runs = space.collect_dirty_runs()
-        assert isinstance(runs, PageRuns)
-        assert runs.runs == ((2, 3), (9, 1), (12, 2))
-        assert len(runs) == 6
-        assert space.collect_dirty() == []  # scan cleared the bits
-
-    def test_iteration_yields_pages_ascending(self):
-        space = AddressSpace(PAGE_SIZE * 8)
-        space.touch_pages([5, 1, 6, 2])
-        runs = space.collect_dirty_runs()
-        assert [p.index for p in runs] == [1, 2, 5, 6]
-        assert all(p.space is space for p in runs)
-
-    def test_indexing_and_slicing(self):
-        space = AddressSpace(PAGE_SIZE * 8)
-        space.touch_pages([0, 1, 4, 5])
-        runs = space.collect_dirty_runs()
-        assert runs[2].index == 4
-        assert [p.index for p in runs[1:3]] == [1, 4]
-        assert runs.index_list() == [0, 1, 4, 5]
-
-    def test_has_index_membership(self):
-        space = AddressSpace(PAGE_SIZE * 8)
-        space.touch_pages([3, 4])
-        runs = space.collect_dirty_runs()
-        assert runs.has_index(3) and runs.has_index(4)
-        assert not runs.has_index(2) and not runs.has_index(5)
-
-    def test_full_runs_covers_whole_space(self):
-        space = AddressSpace(PAGE_SIZE * 5)
-        runs = space.full_runs()
-        assert runs.runs == ((0, 5),)
-        assert len(runs) == 5
-
-    def test_empty_runs_are_falsy(self):
-        space = AddressSpace(PAGE_SIZE * 4)
-        runs = space.collect_dirty_runs()
-        assert runs.runs == ()
-        assert len(runs) == 0
-        assert not runs
-
-    def test_apply_copy_accepts_runs(self):
-        src = AddressSpace(PAGE_SIZE * 6)
-        dst = AddressSpace(PAGE_SIZE * 6)
-        src.touch_pages([1, 2, 4])
-        src.touch_pages([1])  # version 2 on page 1
-        runs = src.collect_dirty_runs()
-        dst.apply_copy(runs)
-        assert dst.version_vector() == src.version_vector()
-
-    def test_apply_copy_runs_out_of_range_rejected(self):
-        src = AddressSpace(PAGE_SIZE * 6)
-        dst = AddressSpace(PAGE_SIZE * 2)
-        src.touch_pages([4])
-        runs = src.collect_dirty_runs()
-        with pytest.raises(KernelError):
-            dst.apply_copy(runs)

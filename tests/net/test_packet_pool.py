@@ -1,17 +1,27 @@
-"""Packet free-list pool: reuse, safety guards, counters, batched rx."""
+"""Packet delivery through ``Nic.emit`` and coalesced receive processing."""
 
-import sys
+import pytest
 
+from repro._fastpath import FASTPATH
 from repro.config import DEFAULT_MODEL
-from repro.net import Ethernet, Nic, Packet
+from repro.net import BROADCAST, Ethernet, Nic
 from repro.net.addresses import workstation_address
-from repro.net.packet import PacketPool
-from repro.obs.metrics import MetricsRegistry
 from repro.sim import Simulator
+from repro.sim.engine import arm_perturber
+from repro.verify import TiePerturber
 
 
-def make_net(n_hosts=2, seed=0):
+@pytest.fixture
+def heap_core():
+    """Perturbers need the reference heap core (the conftest hygiene
+    fixture restores the switch afterwards)."""
+    FASTPATH.event_wheel = False
+
+
+def make_net(n_hosts=2, seed=0, perturber=None):
     sim = Simulator(seed=seed)
+    if perturber is not None:
+        sim.install_perturber(perturber)
     net = Ethernet(sim, DEFAULT_MODEL)
     nics = []
     for i in range(n_hosts):
@@ -19,80 +29,6 @@ def make_net(n_hosts=2, seed=0):
         net.attach(nic)
         nics.append(nic)
     return sim, net, nics
-
-
-class TestPacketPool:
-    def test_alloc_restamps_every_field(self):
-        pool = PacketPool(enabled=True)
-        a = pool.alloc(workstation_address(0), workstation_address(1),
-                       "first", {"x": 1}, 100)
-        first_id = a.packet_id
-        assert pool.release(a)
-        b = pool.alloc(workstation_address(2), workstation_address(3),
-                       "second", None, 64)
-        assert b is a  # recycled object
-        assert b.src == workstation_address(2)
-        assert b.dst == workstation_address(3)
-        assert b.kind == "second"
-        assert b.payload is None
-        assert b.size_bytes == 64
-        assert b.packet_id > first_id  # identity is fresh
-        assert not b.is_broadcast
-
-    def test_release_refuses_referenced_packet(self):
-        pool = PacketPool(enabled=True)
-        p = pool.alloc(workstation_address(0), workstation_address(1),
-                       "k", None, 64)
-        keeper = p  # second reference: recycling would alias live state
-        assert not pool.release(p)
-        assert keeper.kind == "k"
-
-    def test_held_parameter_accounts_for_container_refs(self):
-        pool = PacketPool(enabled=True)
-        p = pool.alloc(workstation_address(0), workstation_address(1),
-                       "k", None, 64)
-        box = (p,)
-        assert sys.getrefcount(p) == 3  # p + box + getrefcount arg
-        assert not pool.release(p)
-        assert pool.release(p, held=1)
-        del box
-
-    def test_release_clears_payload(self):
-        pool = PacketPool(enabled=True)
-        payload = {"big": list(range(10))}
-        p = pool.alloc(workstation_address(0), workstation_address(1),
-                       "k", payload, 64)
-        assert pool.release(p)
-        assert p.payload is None  # pool must not pin payloads alive
-
-    def test_disabled_pool_never_recycles(self):
-        pool = PacketPool(enabled=False)
-        p = pool.alloc(workstation_address(0), workstation_address(1),
-                       "k", None, 64)
-        assert not pool.release(p)
-        q = pool.alloc(workstation_address(0), workstation_address(1),
-                       "k", None, 64)
-        assert q is not p
-        assert pool.stats()["reused"] == 0
-
-    def test_counters_and_metrics(self):
-        pool = PacketPool(enabled=True)
-        registry = MetricsRegistry()
-        registry.enable()
-        pool.bind_metrics(registry)
-        p = pool.alloc(workstation_address(0), workstation_address(1),
-                       "k", None, 64)
-        pool.release(p)
-        pool.alloc(workstation_address(0), workstation_address(1),
-                   "k", None, 64)
-        stats = pool.stats()
-        assert stats["allocated"] == 2
-        assert stats["recycled"] == 1
-        assert stats["reused"] == 1
-        snap = registry.snapshot()
-        cluster = snap["cluster"]
-        assert cluster["net.pool_reused"] == 1
-        assert cluster["net.pool_recycled"] == 1
 
 
 class TestPooledDelivery:
@@ -104,27 +40,18 @@ class TestPooledDelivery:
         sim.run()
         assert got == [("hello", {"n": 1})]
 
-    def test_packets_recycle_through_the_wire(self):
-        sim, net, nics = make_net(2)
-        nics[1].install_handler(lambda p: None)
-        for _ in range(20):
-            nics[0].emit(nics[1].address, "x", None)
-            sim.run()
-        stats = net.pool.stats()
-        # First trip allocates; later trips reuse the recycled object.
-        assert stats["recycled"] >= 19
-        assert stats["reused"] >= 19
-
     def test_handler_keeping_packet_blocks_recycling(self):
+        # A frame a receiver keeps is never reused for later traffic.
         sim, net, nics = make_net(2)
         kept = []
         nics[1].install_handler(kept.append)
         nics[0].emit(nics[1].address, "keep", {"v": 7})
         sim.run()
-        assert kept[0].payload == {"v": 7}  # not clobbered
+        assert kept[0].payload == {"v": 7}
         nics[0].emit(nics[1].address, "second", None)
         sim.run()
-        assert kept[0].kind == "keep"  # still not recycled out from under us
+        assert kept[0].kind == "keep"
+        assert kept[1] is not kept[0]
 
 
 class TestBatchedRx:
@@ -141,8 +68,6 @@ class TestBatchedRx:
             nic.install_handler(handler)
 
     def test_broadcast_processing_coalesces_and_preserves_order(self):
-        from repro.net import BROADCAST
-
         sim, net, nics = make_net(4)
         got = []
         self._processing_handlers(sim, nics, got)
@@ -154,33 +79,81 @@ class TestBatchedRx:
         assert len({t for _, t in got}) == 1
         assert net.rx_coalesced == 2  # 3 handler timers in 1 event
 
+    @pytest.mark.usefixtures("heap_core")
     def test_event_count_matches_unbatched_world(self):
-        from repro.net import BROADCAST
-        from repro._fastpath import FASTPATH
+        # A perturber switches coalescing off; at rate 0 it takes no
+        # swap, so the run is the unbatched execution of the same world.
+        def run(perturber):
+            sim, net, nics = make_net(4, seed=3, perturber=perturber)
+            got = []
+            self._processing_handlers(sim, nics, got)
+            for _ in range(5):
+                nics[0].emit(BROADCAST, "q", None)
+            sim.run()
+            return (sim.now, sim.event_count, got), net.rx_coalesced
 
-        def run(batched):
-            old = FASTPATH.batched_rx
-            FASTPATH.batched_rx = batched
-            try:
-                sim, net, nics = make_net(4, seed=3)
-                got = []
-                self._processing_handlers(sim, nics, got)
-                for _ in range(5):
-                    nics[0].emit(BROADCAST, "q", None)
-                sim.run()
-                return sim.now, sim.event_count, got
-            finally:
-                FASTPATH.batched_rx = old
+        batched, coalesced = run(None)
+        unbatched, none_coalesced = run(TiePerturber(seed=1, rate=0.0))
+        assert coalesced > 0
+        assert none_coalesced == 0
+        assert batched == unbatched
 
-        assert run(True) == run(False)
-
-    def test_batched_packets_recycle_after_processing(self):
-        from repro.net import BROADCAST
-
-        sim, net, nics = make_net(3)
+    @pytest.mark.usefixtures("heap_core")
+    def test_perturber_can_reorder_broadcast_receive_handlers(self):
+        # V kernels give a broadcast's receive handlers no defined
+        # order, so each one must be a swap opportunity of its own.
+        sim, net, nics = make_net(4, perturber=TiePerturber(rate=0.0))
         got = []
         self._processing_handlers(sim, nics, got)
         nics[0].emit(BROADCAST, "q", None)
         sim.run()
-        assert len(got) == 2
-        assert net.pool.stats()["recycled"] >= 1
+        assert sim._perturber.opportunities == 2
+        assert [i for i, _ in got] == [1, 2, 3]
+
+        sim, net, nics = make_net(4, perturber=TiePerturber(replay=[2]))
+        got = []
+        self._processing_handlers(sim, nics, got)
+        nics[0].emit(BROADCAST, "q", None)
+        sim.run()
+        assert [i for i, _ in got] == [1, 3, 2]
+
+
+def _exec_storm(perturber=None, n_ws=5, jobs=4):
+    """``jobs`` back-to-back ``@ *`` execs (each one a multicast host
+    query answered by every program manager); returns the trajectory,
+    the coalesced-handler count and the perturber."""
+    from repro.cluster import build_cluster
+    from repro.execution import ExecSpec, run_program
+    from repro.workloads import standard_registry
+
+    arm_perturber(perturber)
+    try:
+        cluster = build_cluster(n_workstations=n_ws, seed=5,
+                                registry=standard_registry(scale=0.2))
+    finally:
+        arm_perturber(None)
+    codes = []
+
+    def session(ctx):
+        for i in range(jobs):
+            codes.append((yield from run_program(
+                ctx, ExecSpec("cc68", args=(f"f{i}.c",), where="*"))))
+
+    cluster.spawn_session(cluster.workstations[0], session)
+    cluster.run(until_us=600_000_000)
+    sim = cluster.sim
+    trajectory = (sim.now, sim.event_count, cluster.net.packets_sent,
+                  tuple(codes))
+    return trajectory, cluster.net.rx_coalesced, sim._perturber
+
+
+@pytest.mark.usefixtures("heap_core")
+def test_zero_rate_perturber_leaves_exec_storm_trajectory_unchanged():
+    batched, coalesced, _ = _exec_storm()
+    unbatched, none_coalesced, perturber = _exec_storm(
+        TiePerturber(seed=2, rate=0.0))
+    assert batched[3] == (0,) * 4
+    assert coalesced > 0
+    assert none_coalesced == 0
+    assert perturber.swaps == [] and perturber.opportunities > 0
+    assert unbatched == batched

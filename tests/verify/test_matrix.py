@@ -13,8 +13,8 @@ SMALL = {"messages": 4, "storm_rounds": 12, "migrate_at_ms": 200}
 # ---------------------------------------------------------------- cells
 
 def test_cells_record_only_deltas_from_the_defaults():
-    cell = make_cell({"packet_pool": True, "route_cache": False})
-    assert cell["toggles"] == {"route_cache": False}  # packet_pool is default
+    cell = make_cell({"event_wheel": False, "burst_pacing": True})
+    assert cell["toggles"] == {"burst_pacing": True}  # event_wheel is default
 
 
 def test_expect_class_derivation():
@@ -61,6 +61,17 @@ def test_full_matrix_covers_the_whole_toggle_product():
     vectors = {tuple(sorted(c["toggles"].items())) for c in cells
                if c["schedule"] is None and c["perturb"] is None}
     assert len(vectors) == 2 ** len(knob_domains())
+
+
+def test_weekly_budget_keeps_every_fault_and_perturbed_cell(monkeypatch):
+    from repro.faults import FAULT_SCHEDULES
+
+    monkeypatch.setenv("REPRO_VERIFY_BUDGET", "256")
+    cells = build_matrix("full", seed=7)
+    assert cells == full_matrix(seed=7)  # the budget drops nothing
+    assert {c["schedule"] for c in cells if c["schedule"]} \
+        == set(FAULT_SCHEDULES)
+    assert sum(1 for c in cells if c["perturb"]) == 4
 
 
 def test_budget_env_caps_the_matrix(monkeypatch):

@@ -75,12 +75,29 @@ def test_minimizer_shrinks_to_a_single_knob():
     widest = max(result.failures,
                  key=lambda f: len(cells[f["index"]]["toggles"]))
     cell = cells[widest["index"]]
-    assert len(cell["toggles"]) >= 2  # there is something to shrink
     minimal = minimize_failure(cell, dict(BASE_CONFIG), result.results[0])
     assert minimal.cell["toggles"] == {"event_wheel": True}
     trace = (minimal.cell["perturb"] or {}).get("replay") or []
     assert len(trace) <= 5
-    assert minimal.dropped_toggles  # it really reduced something
+
+
+def test_greedy_reversion_drops_every_innocent_toggle():
+    """The toggle reducer on a synthetic failure predicate: the cell
+    fails iff ``event_wheel`` is on, so every other delta must go."""
+
+    class FakeProber:
+        def failure(self, cell):
+            return ["boom"] if cell["toggles"].get("event_wheel") else []
+
+    from repro.verify.matrix import make_cell
+    from repro.verify.minimize import _shrink_toggles
+
+    cell = make_cell({"burst_pacing": True, "event_wheel": True,
+                      "load_cache": True})
+    dropped = []
+    shrunk = _shrink_toggles(cell, FakeProber(), dropped)
+    assert shrunk["toggles"] == {"event_wheel": True}
+    assert sorted(dropped) == ["burst_pacing", "load_cache"]
 
 
 def test_minimal_repro_round_trips_through_a_bundle(tmp_path):
