@@ -38,13 +38,13 @@ chaos-smoke:
 
 # Differential verification smoke: a sampled 10-cell toggle matrix
 # (including the placement-plane strata) must pass clean, and the
-# planted ordering mutation must be caught (a harness that has never
+# planted at-most-once mutation must be caught (a harness that has never
 # failed proves nothing).  REPRO_VERIFY_BUDGET=N caps the cell count;
-# the weekly CI job runs the full 43-cell matrix instead (see
+# the weekly CI job runs the full 27-cell matrix instead (see
 # docs/TESTING.md).
 verify-smoke:
 	python -m repro verify --matrix sample:10 --seed 7 --workers 2
-	python -m repro verify --matrix sample:10 --seed 7 --workers 2 --mutate skip-same-instant-cancel --expect-fail
+	python -m repro verify --matrix sample:10 --seed 7 --workers 2 --mutate redeliver-replied-duplicate --expect-fail
 
 # Paper fidelity gate: the paper-table assertions of every
 # benchmarks/bench_*.py except the simulator-core wall-clock bench,

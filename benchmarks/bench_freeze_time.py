@@ -21,6 +21,33 @@ PAPER_RESIDUAL_RANGE_KB = (0.5, 70.0)
 PAPER_FREEZE_RANGE_MS = (5.0, 210.0)
 PAPER_TYPICAL_ROUNDS = 2
 
+#: Named deviations from the paper's figures: (victim, figure) -> (the
+#: bound that replaces the paper's, why).  A victim/figure pair not named
+#: here must meet the paper: residual 0.5-70 KB, freeze <= 210 ms (the
+#: ~26 ms kernel-state copy included) and 2 pre-copy rounds.
+#: EXPERIMENTS.md E7 lists the same entries.
+DEVIATIONS = {
+    ("tex", "residual_kb"): (
+        90.0, "measured 86.0 KB: tex is the heaviest dirtier in the "
+              "paper's Table 4-1 too, and the paper reports averages "
+              "over many runs where this is one run"),
+    ("tex", "freeze_ms"): (
+        300.0, "measured 290.5 ms: the 86 KB residual at 3 s/MB plus "
+               "the kernel-state copy"),
+    ("optimizer", "precopy_rounds"): (
+        1, "its 26 KB dirty set after the first full copy is already "
+           "under the 32 KB residual threshold, so it freezes at once"),
+    ("assembler", "precopy_rounds"): (
+        1, "same as optimizer: 26 KB dirty after the first copy"),
+}
+
+
+def _bound(victim, figure, paper):
+    """The bound ``victim`` must meet for ``figure``: its named
+    deviation if it has one, else the paper's."""
+    deviation = DEVIATIONS.get((victim, figure))
+    return paper if deviation is None else deviation[0]
+
 
 def _migrate_mid_run(program, seed=0):
     cluster = workload_cluster(n=3, scale=3.0, seed=seed)
@@ -62,15 +89,18 @@ def test_freeze_time_and_precopy_iterations(benchmark):
                    round(stats.freeze_us / 1000, 1),
                    note="paper range 5-210 + kernel-state copy")
     register(report)
+    lo, hi = PAPER_RESIDUAL_RANGE_KB
     for victim, stats in stats_by_victim.items():
-        lo, hi = PAPER_RESIDUAL_RANGE_KB
-        # tex, the heaviest dirtier, lands slightly above the paper's
-        # 70 KB worst case in our run (the paper reports averages);
-        # allow 40% headroom while keeping the order of magnitude.
-        assert lo <= stats.residual_bytes / 1024 <= hi * 1.4, victim
-        # Freeze = residual copy + kernel-state copy (~26 ms here).
-        assert stats.freeze_us / 1000 <= PAPER_FREEZE_RANGE_MS[1] * 1.4 + 40, victim
-        assert 1 <= stats.precopy_rounds <= 5
+        residual_kb = stats.residual_bytes / 1024
+        assert lo <= residual_kb <= _bound(victim, "residual_kb", hi), \
+            (victim, residual_kb)
+        freeze_ms = stats.freeze_us / 1000
+        assert freeze_ms <= _bound(victim, "freeze_ms",
+                                   PAPER_FREEZE_RANGE_MS[1]), \
+            (victim, freeze_ms)
+        assert stats.precopy_rounds == _bound(
+            victim, "precopy_rounds", PAPER_TYPICAL_ROUNDS), \
+            (victim, stats.precopy_rounds)
 
 
 def test_first_round_dominates_copy_time(benchmark):

@@ -1,55 +1,25 @@
-"""Global switches for the simulator's optional modes.
+"""Global switches for the simulator's optional protocol modes.
 
-Three switch blocks, each read once at component construction time (a
+Two switch blocks, each read once at component construction time (a
 per-packet global load would itself be hot-path overhead), so toggling
-only affects simulators built afterwards:
+only affects components built afterwards:
 
-* :data:`FASTPATH` holds one switch, ``event_wheel``, which selects the
-  hybrid event core (now-queue + timer wheel + overflow heap, see
-  :class:`repro.sim.engine.WheelSimulator`) when a ``Simulator`` is
-  constructed.  It is trajectory-neutral -- pop order is provably
-  identical to the reference heap -- and defaults off; set
-  ``REPRO_EVENT_WHEEL=1`` in the environment (as one CI job does for the
-  whole test suite) or assign ``FASTPATH.event_wheel = True`` before
-  building a simulator to opt in.
 * :data:`COPY_PLANE` governs the bulk-transfer data-plane *modes* (burst
-  pacing, adaptive pre-copy).  Those are not trajectory-neutral -- they
-  change which packets exist -- so they default **off** and are opted
-  into per run (benchmarks, ``--copy-plane`` chaos campaigns).
+  pacing, adaptive pre-copy).
 * :data:`PLACEMENT` installs the placement plane (host-state caches,
-  probing placement); also trajectory-changing and default off.
+  probing placement).
 
-The IPC/network data path itself has no switches: coalesced same-tick
-receive processing (:meth:`repro.net.ethernet.Ethernet.schedule_rx`),
-the per-transport packet-kind handler table and the memoized wire-cost
-figures are simply how the code runs.
+Every knob changes the modelled trajectory -- which packets exist -- so
+each defaults **off** and is opted into per run (benchmarks,
+``--copy-plane`` chaos campaigns, verify-matrix cells).  The event core
+and the IPC/network data path have no switches: the binary event heap,
+coalesced same-tick receive processing
+(:meth:`repro.net.ethernet.Ethernet.schedule_rx`), the per-transport
+packet-kind handler table and the memoized wire-cost figures are simply
+how the code runs.
 """
 
 from __future__ import annotations
-
-import os
-
-
-def _env_flag(name: str, default: bool) -> bool:
-    """Read a boolean toggle from the environment ("1"/"true" on)."""
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    return raw.strip().lower() in ("1", "true", "yes", "on")
-
-
-class FastPathFlags:
-    """The event-core switch.  ``event_wheel`` defaults to the
-    ``REPRO_EVENT_WHEEL`` environment toggle (off when unset)."""
-
-    __slots__ = ("event_wheel",)
-
-    def __init__(self) -> None:
-        self.event_wheel = _env_flag("REPRO_EVENT_WHEEL", False)
-
-    def snapshot(self) -> dict:
-        """Current switch positions (for benchmark payloads)."""
-        return {name: getattr(self, name) for name in self.__slots__}
 
 
 class PlacementFlags:
@@ -90,11 +60,11 @@ class PlacementFlags:
 class CopyPlaneFlags:
     """Switches for the bulk-transfer data plane overhaul (default OFF).
 
-    Unlike :data:`FASTPATH`, these change the *modelled* protocol, not
-    just its wall-clock cost: ``burst_pacing`` streams K-page packet
-    blasts (one frame and one pacing timer per burst instead of per
-    page, V's 32 KB runs), and ``adaptive_precopy`` terminates pre-copy
-    rounds on the observed dirty rate instead of static thresholds.
+    These change the *modelled* protocol, not just its wall-clock cost:
+    ``burst_pacing`` streams K-page packet blasts (one frame and one
+    pacing timer per burst instead of per page, V's 32 KB runs), and
+    ``adaptive_precopy`` terminates pre-copy rounds on the observed
+    dirty rate instead of static thresholds.
     Both therefore produce a *different* (still deterministic) simulated
     trajectory, so they default off; with every switch off the data
     plane is byte-identical to the per-page implementation.  Delivered
@@ -121,9 +91,6 @@ class CopyPlaneFlags:
         return {name: getattr(self, name) for name in self.__slots__}
 
 
-#: The process-wide switch block, consulted at component construction.
-FASTPATH = FastPathFlags()
-
 #: The copy data-plane switch block (default off; see CopyPlaneFlags).
 COPY_PLANE = CopyPlaneFlags()
 
@@ -132,20 +99,16 @@ PLACEMENT = PlacementFlags()
 
 
 def knob_domains() -> dict:
-    """Every toggleable knob name -> its switch block ("fastpath",
-    "copy_plane" or "placement"), the single source of truth the
-    differential verification matrix (:mod:`repro.verify`) builds toggle
-    vectors from.  Every knob's canonical default is off.  The
-    ``fastpath`` knob (the event core) is trajectory-preserving
-    (byte-identical equivalence class); ``copy_plane`` and ``placement``
-    knobs change the modelled trajectory (tolerance-diffed class)."""
-    domains = {name: "fastpath" for name in FastPathFlags.__slots__}
-    domains.update({name: "copy_plane" for name in CopyPlaneFlags.__slots__})
+    """Every toggleable knob name -> its switch block ("copy_plane" or
+    "placement"), the single source of truth the differential
+    verification matrix (:mod:`repro.verify`) builds toggle vectors
+    from.  Every knob's canonical default is off, and every knob changes
+    the modelled trajectory (tolerance-diffed class)."""
+    domains = {name: "copy_plane" for name in CopyPlaneFlags.__slots__}
     domains.update({name: "placement" for name in PlacementFlags.__slots__})
     return domains
 
 
 def knob_block(domain: str):
     """The switch-block singleton for a knob domain name."""
-    return {"fastpath": FASTPATH, "copy_plane": COPY_PLANE,
-            "placement": PLACEMENT}[domain]
+    return {"copy_plane": COPY_PLANE, "placement": PLACEMENT}[domain]

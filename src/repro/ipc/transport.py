@@ -48,6 +48,23 @@ from repro.net.packet import Packet
 from repro.ipc.copyops import CopyEngine, PageSnapshot
 
 
+class _PlantedFlags:
+    """Deliberate, named bugs for the differential verification harness
+    (:mod:`repro.verify.mutation`).  Every flag defaults False and the
+    shipped transport never sets one; the mutation-smoke tests plant one,
+    prove the toggle-matrix explorer catches it, and clear it again.
+    """
+
+    __slots__ = ("redeliver_replied_duplicate",)
+
+    def __init__(self) -> None:
+        self.redeliver_replied_duplicate = False
+
+
+#: Process-wide planted-bug switch block (see :class:`_PlantedFlags`).
+_PLANTED = _PlantedFlags()
+
+
 class ClientRecord:
     """Sender-side state of one outstanding Send/CopyTo/CopyFrom.
 
@@ -579,6 +596,18 @@ class Transport:
         if record.declined:
             return  # declined group query: stay silent
         if record.replied:
+            if _PLANTED.redeliver_replied_duplicate:
+                # Planted bug (mutation smoke): forget the retained reply
+                # and admit the retransmission as a fresh request, so the
+                # recipient receives it a second time.
+                pcb = self.kernel.find_pcb(record.recipient)
+                if pcb is not None and pcb.alive:
+                    del self._servers[record.key]
+                    self._admit_request(
+                        record.sender, record.seq, pcb,
+                        {"message": record.message}, record.origin_addr,
+                    )
+                    return
             self._send_reply_packet(record)  # re-send retained reply
         else:
             self._send_reply_pending(record)

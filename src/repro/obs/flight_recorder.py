@@ -86,7 +86,7 @@ class FlightRecorder:
     def dump(self, reason: str, checker=None) -> str:
         """Write the bundle now (also usable for manual snapshots);
         returns the bundle directory."""
-        from repro._fastpath import COPY_PLANE, FASTPATH
+        from repro._fastpath import COPY_PLANE
         from repro.verify.mutation import planted
 
         os.makedirs(self.out_dir, exist_ok=True)
@@ -98,12 +98,11 @@ class FlightRecorder:
             "context": self.context,
             "sim_time_us": sim.now if sim is not None else None,
             "toggles": {
-                "fastpath": FASTPATH.snapshot(),
                 "copy_plane": COPY_PLANE.snapshot(),
             },
-            # Planted engine mutations (repro.verify.mutation) active at
-            # dump time: a bundle produced by a mutation-smoke run must
-            # say so, or its trajectory looks like a real engine bug.
+            # Planted mutations (repro.verify.mutation) active at dump
+            # time: a bundle produced by a mutation-smoke run must say
+            # so, or its trajectory looks like a real protocol bug.
             "mutations": planted(),
             "files": list(BUNDLE_FILES),
         }

@@ -160,7 +160,6 @@ class Task:
         """Register a continuation for whatever the generator yielded."""
         sim = self._sim
         token = self._wait_token
-        sim.closure_free_steps += 1
         if yielded is None:
             sim.schedule(0, self._resume_cb, token, None)
         elif isinstance(yielded, int):

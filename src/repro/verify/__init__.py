@@ -1,11 +1,12 @@
 """Differential verification: toggle matrices, schedule perturbation,
 failure minimization.
 
-The repository carries two kinds of switchable machinery: an event
-core that must never change a trajectory
-(:data:`repro._fastpath.FASTPATH`) and protocol modes that deliberately
-do (:data:`repro._fastpath.COPY_PLANE`, :data:`repro._fastpath.PLACEMENT`).  This package *checks* those
-promises instead of assuming them:
+The repository's switchable machinery is a set of protocol modes that
+deliberately change the trajectory (:data:`repro._fastpath.COPY_PLANE`,
+:data:`repro._fastpath.PLACEMENT`) while promising the same outcomes
+and invariants.  This package *checks* those promises instead of
+assuming them, and checks that the paper's protocol survives faults and
+any same-instant event ordering:
 
 * :mod:`repro.verify.matrix` -- run one scenario across a matrix of
   toggle vectors, fault schedules and schedule perturbations, and
@@ -17,7 +18,7 @@ promises instead of assuming them:
 * :mod:`repro.verify.minimize` -- shrink a failing cell to a minimal
   (toggle delta, seed, swap trace) triple and dump it as a
   flight-recorder bundle for offline replay;
-* :mod:`repro.verify.mutation` -- planted engine bugs proving the
+* :mod:`repro.verify.mutation` -- planted protocol bugs proving the
   harness actually catches what it claims to catch
   (``make verify-smoke`` runs one end to end);
 * :mod:`repro.verify.scenario` -- the ordering-heavy workload the

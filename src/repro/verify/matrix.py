@@ -7,16 +7,18 @@ class* the cell's payload is expected to fall into relative to the
 baseline cell (all defaults, same seed):
 
 ``byte``
-    Trajectory-preserving deltas only (the ``fastpath`` event-core
-    knob ``event_wheel``): the payload must be **byte-identical** to the
-    baseline (:func:`repro.verify.scenario.canonical_digest`).
+    No deltas at all -- the baseline itself, a ``--toggle NAME=off``
+    cell, or a minimizer candidate with every delta reverted: the run is
+    a pure function of the seed, so the payload must be
+    **byte-identical** to the baseline
+    (:func:`repro.verify.scenario.canonical_digest`).
 ``tolerant``
-    Copy-plane deltas change which packets exist: the four stable
-    outcome fields must match exactly, invariants must hold, and the
-    KPI scalars must agree within the ``repro diff`` tolerance formula
-    (generous by default -- burst coalescing roughly halves packet
-    counts by design; the tolerance trips on order-of-magnitude
-    regressions, not protocol-mode differences).
+    Copy-plane and placement deltas change which packets exist: the
+    four stable outcome fields must match exactly, invariants must
+    hold, and the KPI scalars must agree within the ``repro diff``
+    tolerance formula (generous by default -- burst coalescing roughly
+    halves packet counts by design; the tolerance trips on
+    order-of-magnitude regressions, not protocol-mode differences).
 ``perturb``
     Same toggles, fuzzed same-instant ordering: outcomes and invariants
     must survive any tie permutation, but event counts may wiggle.
@@ -65,10 +67,8 @@ def _expect_for(toggles: Dict[str, bool], schedule: Optional[str],
         return "fault"
     if perturb is not None:
         return "perturb"
-    domains = knob_domains()
-    if any(domains[name] != "fastpath" and value
-           for name, value in toggles.items()):
-        # copy_plane and placement knobs change which messages exist.
+    if any(toggles.values()):
+        # Every knob changes which messages exist.
         return "tolerant"
     return "byte"
 
@@ -92,11 +92,6 @@ def make_cell(
             )
         if value:
             deltas[name] = True
-    if perturb is not None and deltas.get("event_wheel"):
-        raise SimulationError(
-            "schedule perturbation requires the reference heap core; "
-            "drop event_wheel from the cell's toggles"
-        )
     if label is None:
         parts = [f"{n}={'on' if v else 'off'}" for n, v in deltas.items()]
         if schedule is not None:
@@ -117,15 +112,14 @@ def make_cell(
 
 def sample_matrix(n: int, seed: int = 0) -> List[Dict[str, Any]]:
     """A stratified sample of ``n`` cells (first is always the
-    baseline).  The first six cover every equivalence class and both
-    event cores, cells seven and eight the placement plane; beyond that,
-    deterministic random toggle vectors fill the budget (seeded from
-    ``seed``, so the same matrix replays)."""
+    baseline).  The first five cover every equivalence class, cells six
+    and seven the placement plane; beyond that, deterministic random
+    toggle vectors fill the budget (seeded from ``seed``, so the same
+    matrix replays)."""
     if n < 2:
         raise SimulationError("a differential matrix needs >= 2 cells")
     strata = [
         make_cell(),
-        make_cell({"event_wheel": True}),
         make_cell({"burst_pacing": True}),
         make_cell({"burst_pacing": True, "adaptive_precopy": True}),
         make_cell(perturb={"seed": derive_seed(seed, "verify:perturb:0"),
@@ -143,7 +137,7 @@ def sample_matrix(n: int, seed: int = 0) -> List[Dict[str, Any]]:
         attempts += 1
         toggles = {name: rng.random() < 0.5 for name in names}
         perturb = None
-        if not toggles.get("event_wheel") and rng.random() < 0.25:
+        if rng.random() < 0.25:
             perturb = {"seed": rng.randrange(1 << 30), "rate": 0.25}
         cell = make_cell(toggles, perturb=perturb)
         key = json.dumps(_cell_key(cell), sort_keys=True)

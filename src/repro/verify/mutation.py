@@ -2,20 +2,20 @@
 
 A verification harness that has never seen a failure proves nothing.
 Each entry in :data:`MUTATIONS` names a deliberate, realistic bug wired
-(dormant) into the engine behind
-:data:`repro.sim.engine._PLANTED`; the mutation-smoke test plants one,
-asserts the toggle-matrix explorer flags exactly the cells it should,
-and asserts the minimizer shrinks the failure to its minimal triple.
+(dormant) into the transport behind
+:data:`repro.ipc.transport._PLANTED`; the mutation-smoke test plants
+one, asserts the toggle-matrix explorer flags exactly the cells it
+should, and asserts the minimizer shrinks the failure to its minimal
+triple.
 
-``skip-same-instant-cancel``
-    On the hybrid event core only, :meth:`Timer.cancel` "forgets" to
-    cancel an entry due at the current instant -- e.g. the losing twin
-    of an ``AnyOf([..., D, D])`` reaped by ``Task._step`` at its own
-    due time.  The stale continuation is inert (wait tokens make it a
-    no-op) but it *fires as a counted event*, so ``event_count``
-    diverges from the reference heap core: a byte-identity violation
-    whose minimal toggle delta is the single knob ``event_wheel`` and
-    whose minimal perturbation trace is empty.
+``redeliver-replied-duplicate``
+    :meth:`Transport._handle_duplicate` hands a retransmission of an
+    *already-replied* request to the recipient again instead of
+    re-sending the retained reply, breaking the V IPC's at-most-once
+    guarantee.  Only a lost reply makes a sender retransmit an answered
+    request, so the bug shows only under packet loss: the ``drop``
+    fault cell reports an ``at-most-once`` invariant violation, and the
+    minimal repro is the schedule alone with no toggle delta.
 
 Plant/clear are process-global (like the toggles themselves); the
 ``tests/conftest.py`` hygiene fixture clears them around every test.
@@ -27,11 +27,11 @@ from contextlib import contextmanager
 from typing import Dict, List
 
 from repro.errors import SimulationError
-from repro.sim.engine import _PLANTED
+from repro.ipc.transport import _PLANTED
 
 #: Mutation name -> the ``_PLANTED`` flag it sets.
 MUTATIONS: Dict[str, str] = {
-    "skip-same-instant-cancel": "skip_same_instant_cancel",
+    "redeliver-replied-duplicate": "redeliver_replied_duplicate",
 }
 
 

@@ -1,21 +1,11 @@
 """Packet delivery through ``Nic.emit`` and coalesced receive processing."""
 
-import pytest
-
-from repro._fastpath import FASTPATH
 from repro.config import DEFAULT_MODEL
 from repro.net import BROADCAST, Ethernet, Nic
 from repro.net.addresses import workstation_address
 from repro.sim import Simulator
 from repro.sim.engine import arm_perturber
 from repro.verify import TiePerturber
-
-
-@pytest.fixture
-def heap_core():
-    """Perturbers need the reference heap core (the conftest hygiene
-    fixture restores the switch afterwards)."""
-    FASTPATH.event_wheel = False
 
 
 def make_net(n_hosts=2, seed=0, perturber=None):
@@ -79,7 +69,6 @@ class TestBatchedRx:
         assert len({t for _, t in got}) == 1
         assert net.rx_coalesced == 2  # 3 handler timers in 1 event
 
-    @pytest.mark.usefixtures("heap_core")
     def test_event_count_matches_unbatched_world(self):
         # A perturber switches coalescing off; at rate 0 it takes no
         # swap, so the run is the unbatched execution of the same world.
@@ -98,7 +87,6 @@ class TestBatchedRx:
         assert none_coalesced == 0
         assert batched == unbatched
 
-    @pytest.mark.usefixtures("heap_core")
     def test_perturber_can_reorder_broadcast_receive_handlers(self):
         # V kernels give a broadcast's receive handlers no defined
         # order, so each one must be a swap opportunity of its own.
@@ -147,7 +135,6 @@ def _exec_storm(perturber=None, n_ws=5, jobs=4):
     return trajectory, cluster.net.rx_coalesced, sim._perturber
 
 
-@pytest.mark.usefixtures("heap_core")
 def test_zero_rate_perturber_leaves_exec_storm_trajectory_unchanged():
     batched, coalesced, _ = _exec_storm()
     unbatched, none_coalesced, perturber = _exec_storm(

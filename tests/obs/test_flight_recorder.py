@@ -47,7 +47,9 @@ class TestFlightRecorder:
         bundle = load_postmortem(str(out))
         assert bundle["manifest"]["reason"] == "invariant-violation"
         assert bundle["manifest"]["context"]["seed"] == 42
-        assert "fastpath" in bundle["manifest"]["toggles"]
+        assert bundle["manifest"]["toggles"] == {
+            "copy_plane": {"burst_pacing": False, "adaptive_precopy": False},
+        }
         assert not bundle["invariants"]["ok"]
         (v,) = bundle["invariants"]["violations"]
         assert v["invariant"] == "at-most-once"

@@ -130,6 +130,46 @@ def test_run_max_events_budget():
     assert seen == [0, 1, 2]
 
 
+def test_run_max_events_zero_fires_nothing():
+    sim = Simulator()
+    seen = []
+    for i in range(5):
+        sim.schedule(i + 1, seen.append, i)
+    assert sim.run(max_events=0) == 0
+    assert seen == [] and sim.event_count == 0
+    assert sim.alive_event_count == 5
+
+
+def test_run_negative_max_events_raises():
+    sim = Simulator()
+    sim.schedule(1, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.run(max_events=-2)
+    assert sim.event_count == 0
+    sim.run()  # the rejected call left the simulator runnable
+    assert sim.event_count == 1
+
+
+def test_budget_break_mid_instant_resumes_in_order():
+    sim = Simulator()
+    seen = []
+    for tag in ("a", "b", "c"):
+        sim.schedule(5, seen.append, tag)
+    sim.run(max_events=2)
+    assert seen == ["a", "b"]
+    assert sim.peek() == 5
+    sim.run()
+    assert seen == ["a", "b", "c"]
+
+
+def test_cancelled_instant_does_not_advance_clock():
+    # Skipping a dead entry must not move ``now`` to its deadline.
+    sim = Simulator()
+    sim.schedule(5, lambda: None).cancel()
+    sim.run()
+    assert sim.now == 0
+
+
 def test_peek_returns_next_live_event_time():
     sim = Simulator()
     timer = sim.schedule(10, lambda: None)

@@ -13,13 +13,14 @@ SMALL = {"messages": 4, "storm_rounds": 12, "migrate_at_ms": 200}
 # ---------------------------------------------------------------- cells
 
 def test_cells_record_only_deltas_from_the_defaults():
-    cell = make_cell({"event_wheel": False, "burst_pacing": True})
-    assert cell["toggles"] == {"burst_pacing": True}  # event_wheel is default
+    cell = make_cell({"load_cache": False, "burst_pacing": True})
+    assert cell["toggles"] == {"burst_pacing": True}  # load_cache is default
 
 
 def test_expect_class_derivation():
     assert make_cell()["expect"] == "byte"
-    assert make_cell({"event_wheel": True})["expect"] == "byte"
+    # Switching a knob off is no delta: still byte-identical.
+    assert make_cell({"burst_pacing": False})["expect"] == "byte"
     assert make_cell({"burst_pacing": True})["expect"] == "tolerant"
     assert make_cell(perturb={"seed": 1, "rate": 0.2})["expect"] == "perturb"
     assert make_cell(schedule="drop")["expect"] == "fault"
@@ -33,11 +34,6 @@ def test_unknown_toggle_raises():
         make_cell({"warp_drive": True})
 
 
-def test_perturbed_cell_rejects_the_wheel_core():
-    with pytest.raises(SimulationError):
-        make_cell({"event_wheel": True}, perturb={"seed": 1, "rate": 0.2})
-
-
 # --------------------------------------------------------------- matrices
 
 def test_sample_matrix_is_stratified_and_deterministic():
@@ -46,8 +42,6 @@ def test_sample_matrix_is_stratified_and_deterministic():
     assert cells[0]["label"] == "baseline"
     classes = {c["expect"] for c in cells}
     assert classes == {"byte", "tolerant", "perturb", "fault"}
-    cores = {c["toggles"].get("event_wheel", False) for c in cells}
-    assert cores == {False, True}
     assert sample_matrix(8, seed=7) == cells
     assert sample_matrix(12, seed=7)[:8] == cells  # sample grows stably
 
@@ -61,6 +55,9 @@ def test_full_matrix_covers_the_whole_toggle_product():
     vectors = {tuple(sorted(c["toggles"].items())) for c in cells
                if c["schedule"] is None and c["perturb"] is None}
     assert len(vectors) == 2 ** len(knob_domains())
+    assert sorted(knob_domains()) == ["adaptive_precopy", "burst_pacing",
+                                      "load_cache", "probe_placement"]
+    assert len(cells) == 16 + 7 + 4
 
 
 def test_weekly_budget_keeps_every_fault_and_perturbed_cell(monkeypatch):
@@ -103,11 +100,11 @@ def test_matrix_passes_on_main_and_parallel_equals_serial():
 
 def test_run_matrix_requires_a_baseline_first_cell():
     with pytest.raises(SimulationError):
-        run_matrix([make_cell({"event_wheel": True})], base_seed=0)
+        run_matrix([make_cell({"burst_pacing": True})], base_seed=0)
 
 
 def test_classify_flags_crashes_and_digest_mismatches():
-    cell = make_cell({"event_wheel": True})
+    cell = make_cell({"burst_pacing": False})
     baseline = {"payload_sha256": "aaa", "stable": {"completed": 1},
                 "kpis": {"events": 100}}
     crashed = dict(baseline, crash="SimulationError: boom")

@@ -1,12 +1,14 @@
-"""Mutation smoke: the harness must catch the planted ordering bug.
+"""Mutation smoke: the harness must catch the planted at-most-once bug.
 
-``skip-same-instant-cancel`` makes the hybrid event core "forget" to
-cancel timers due at the current instant, so stale continuations fire
-as counted events and the wheel core's trajectory diverges from the
-reference heap.  The explorer must flag exactly the ``event_wheel``
-cells, and the minimizer must shrink the widest failing cell to the
-single-knob delta ``{event_wheel: True}`` with an empty (<= 5 swap)
-perturbation trace -- the acceptance criterion of the harness.
+``redeliver-replied-duplicate`` makes the transport hand a
+retransmission of an already-replied request to its recipient again
+instead of re-sending the retained reply.  Only a lost reply makes a
+sender retransmit an answered request, so at the default scenario config
+and seed 7 the bug shows only in the ``drop`` fault cell, as an
+``at-most-once`` invariant violation.  The explorer must flag exactly
+that cell, and the minimizer must shrink a failing cell to the bare
+schedule ``{toggles: {}, schedule: "drop"}`` with no perturbation --
+the acceptance criterion of the harness.
 """
 
 import pytest
@@ -25,12 +27,15 @@ from repro.verify.minimize import _shrink_trace
 from repro.verify.scenario import verify_cell
 
 SMALL = {"messages": 4, "storm_rounds": 12, "migrate_at_ms": 200}
-MUT = "skip-same-instant-cancel"
+MUT = "redeliver-replied-duplicate"
+#: The default scenario config at this seed loses exactly one reply in
+#: the ``drop`` cell, so exactly one answered request is retransmitted.
+SEED = 7
 
 BASE_CONFIG = {
-    "base_seed": 11,
+    "base_seed": SEED,
     "scenario": "ordering",
-    "scenario_config": SMALL,
+    "scenario_config": {},
     "mutation": MUT,
     "toggles": {},
     "perturb": None,
@@ -38,65 +43,65 @@ BASE_CONFIG = {
 
 
 def _mutated_matrix():
-    cells = build_matrix("sample:8", seed=11)
-    return cells, run_matrix(cells, base_seed=11, scenario_config=SMALL,
-                             mutation=MUT)
+    cells = build_matrix("sample:10", seed=SEED)
+    return cells, run_matrix(cells, base_seed=SEED, mutation=MUT)
 
 
-def test_mutation_diverges_only_on_the_wheel_core():
-    clean = verify_cell({"base_seed": 11, "scenario_config": SMALL}, 0)
-    heap = verify_cell({"base_seed": 11, "scenario_config": SMALL,
-                        "mutation": MUT}, 0)
-    wheel = verify_cell({"base_seed": 11, "scenario_config": SMALL,
-                         "mutation": MUT,
-                         "toggles": {"event_wheel": True}}, 0)
-    # The bug is wheel-specific: the heap core is the unharmed reference.
-    assert heap["payload_sha256"] == clean["payload_sha256"]
-    assert wheel["payload_sha256"] != clean["payload_sha256"]
-    # Stale fires are inert no-ops, so only the event count moves.
-    assert wheel["kpis"]["events"] > clean["kpis"]["events"]
-    assert wheel["stable"] == clean["stable"]
+def test_mutation_breaks_at_most_once_only_under_loss():
+    clean = verify_cell({"base_seed": SEED}, 0)
+    planted_run = verify_cell({"base_seed": SEED, "mutation": MUT}, 0)
+    # Without loss no answered request is retransmitted: the bug is
+    # dormant and the trajectory is the clean one, byte for byte.
+    assert planted_run["payload_sha256"] == clean["payload_sha256"]
+    drop = {"schedule": "drop"}
+    clean_drop = verify_cell({"base_seed": SEED,
+                              "scenario_config": drop}, 0)
+    planted_drop = verify_cell({"base_seed": SEED, "scenario_config": drop,
+                                "mutation": MUT}, 0)
+    assert clean_drop["invariants_ok"]
+    assert planted_drop["crash"] is None
+    assert planted_drop["invariants"]["at-most-once"] == 1
 
 
-def test_explorer_flags_exactly_the_event_wheel_cells():
+def test_explorer_flags_exactly_the_drop_cell():
     cells, result = _mutated_matrix()
     assert not result.ok
-    flagged = {f["index"] for f in result.failures}
-    wheel = {i for i, c in enumerate(cells)
-             if c["toggles"].get("event_wheel")}
-    assert flagged == wheel and wheel
-    for failure in result.failures:
-        assert failure["expect"] == "byte"
-        assert any("digest differs" in r for r in failure["reasons"])
+    assert [cells[f["index"]]["label"] for f in result.failures] \
+        == ["faults:drop"]
+    (failure,) = result.failures
+    assert failure["expect"] == "fault"
+    assert any("at-most-once" in r for r in failure["reasons"])
 
 
-def test_minimizer_shrinks_to_a_single_knob():
-    cells, result = _mutated_matrix()
-    widest = max(result.failures,
-                 key=lambda f: len(cells[f["index"]]["toggles"]))
-    cell = cells[widest["index"]]
-    minimal = minimize_failure(cell, dict(BASE_CONFIG), result.results[0])
-    assert minimal.cell["toggles"] == {"event_wheel": True}
-    trace = (minimal.cell["perturb"] or {}).get("replay") or []
-    assert len(trace) <= 5
+def test_minimizer_shrinks_to_the_bare_schedule():
+    from repro.verify.matrix import make_cell
+
+    cell = make_cell({"burst_pacing": True, "load_cache": True},
+                     schedule="drop")
+    baseline = verify_cell(dict(BASE_CONFIG, mutation=None), 0)
+    minimal = minimize_failure(cell, dict(BASE_CONFIG), baseline)
+    assert minimal.cell["toggles"] == {}
+    assert minimal.cell["schedule"] == "drop"
+    assert minimal.cell["perturb"] is None
+    assert sorted(minimal.dropped_toggles) == ["burst_pacing", "load_cache"]
 
 
 def test_greedy_reversion_drops_every_innocent_toggle():
     """The toggle reducer on a synthetic failure predicate: the cell
-    fails iff ``event_wheel`` is on, so every other delta must go."""
+    fails iff ``adaptive_precopy`` is on, so every other delta must go."""
 
     class FakeProber:
         def failure(self, cell):
-            return ["boom"] if cell["toggles"].get("event_wheel") else []
+            return ["boom"] if cell["toggles"].get("adaptive_precopy") else []
 
     from repro.verify.matrix import make_cell
     from repro.verify.minimize import _shrink_toggles
 
-    cell = make_cell({"burst_pacing": True, "event_wheel": True,
+    cell = make_cell({"burst_pacing": True, "adaptive_precopy": True,
                       "load_cache": True})
     dropped = []
     shrunk = _shrink_toggles(cell, FakeProber(), dropped)
-    assert shrunk["toggles"] == {"event_wheel": True}
+    assert shrunk["toggles"] == {"adaptive_precopy": True}
     assert sorted(dropped) == ["burst_pacing", "load_cache"]
 
 
@@ -109,30 +114,32 @@ def test_minimal_repro_round_trips_through_a_bundle(tmp_path):
     manifest = load_postmortem(bundle)["manifest"]
     assert manifest["mutations"] == [MUT]
     repro = manifest["context"]["verify_repro"]
-    assert repro["toggles"] == {"event_wheel": True}
+    assert repro["toggles"] == {}
+    assert repro["schedule"] == "drop"
     assert repro["mutation"] == MUT
 
     verdict = replay_bundle(bundle)
     assert verdict["still_fails"]
-    assert any("digest differs" in r for r in verdict["reasons"])
+    assert any("at-most-once" in r for r in verdict["reasons"])
 
 
 def test_minimizer_refuses_a_passing_cell():
     cells = build_matrix("sample:8", seed=11)
     result = run_matrix(cells, base_seed=11, scenario_config=SMALL)
     assert result.ok
-    config = dict(BASE_CONFIG, mutation=None)
+    config = dict(BASE_CONFIG, base_seed=11, scenario_config=SMALL,
+                  mutation=None)
     with pytest.raises(SimulationError):
         minimize_failure(cells[1], config, result.results[0])
 
 
 def test_planted_mutation_context_manager_clears_on_exit():
-    from repro.sim.engine import _PLANTED
+    from repro.ipc.transport import _PLANTED
     from repro.verify import planted
 
     with planted_mutation(MUT):
         assert planted() == [MUT]
-        assert _PLANTED.skip_same_instant_cancel
+        assert _PLANTED.redeliver_replied_duplicate
     assert planted() == []
 
 
