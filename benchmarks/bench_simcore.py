@@ -624,7 +624,9 @@ def _measure_placement(hosts=PLACEMENT_HOSTS, jobs=None):
     latency relative to zero-probe CachedBestFit (the acceptance bound
     is >=5x fewer messages within 1.2x of best-fit's p99 at 128 hosts).
     Anti-entropy refresh traffic is reported separately -- it is cache
-    upkeep amortized over every exec, not per-selection cost."""
+    upkeep amortized over every exec, not per-selection cost.  Each row
+    also carries the run's total cost per completed exec (packets,
+    simulated events, host milliseconds), ungated."""
     scales = {}
     for n in hosts:
         row = {}
@@ -642,6 +644,10 @@ def _measure_placement(hosts=PLACEMENT_HOSTS, jobs=None):
                 "throughput_jobs_per_s": round(
                     r["throughput_jobs_per_s"], 2),
                 "wall_seconds": r["wall_seconds"],
+                "packets_per_exec": round(r["packets"] / r["completed"], 2),
+                "events_per_exec": round(r["events"] / r["completed"], 2),
+                "wall_ms_per_exec": round(
+                    1000 * r["wall_seconds"] / r["completed"], 3),
             }
         scales[str(n)] = row
     big = scales[str(max(hosts))]

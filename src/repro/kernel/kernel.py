@@ -165,11 +165,13 @@ class Kernel:
             if migrated:
                 pcb.state = ProcessState.DEAD
                 self.ipc.discard_queued_for(pcb)
-                # The PCB object itself lives on at the new host; just
-                # unhook it from this kernel's scheduler and groups.
+                # The destination already holds its own PCBs for these
+                # processes (stubs built by the shell, filled from the
+                # state bundle); this old copy is dead, so unhook it from
+                # this kernel's scheduler, groups and process table.
                 self.scheduler.on_destroy(pcb)
                 self.groups.leave_all(pcb.pid)
-                lh.processes.pop(pcb.pid.local_index, None)
+                lh.discard_process(pcb)
             else:
                 self.destroy_process(pcb, exit_code=-1)
         for space in list(lh.spaces):
@@ -219,7 +221,7 @@ class Kernel:
         self.groups.leave_all(pcb.pid)
         lh = pcb.logical_host
         if lh is not None:
-            lh.processes.pop(pcb.pid.local_index, None)
+            lh.discard_process(pcb)
             # Release the address space if no other live process shares
             # it (a compiler phase exiting inside cc68's logical host
             # must not leave its space allocated, §3 footnote 6).
@@ -261,11 +263,11 @@ class Kernel:
         was_queued = pcb.state is ProcessState.READY and not pcb.wake_pending
         if was_running or was_queued:
             scheduler.on_destroy(pcb)  # pull out of the run/ready sets
-            pcb.priority = priority
+            pcb.logical_host.set_process_priority(pcb, priority)
             pcb.state = ProcessState.READY
             scheduler.make_ready(pcb, pcb.resume_value, pcb.resume_throw)
         else:
-            pcb.priority = priority
+            pcb.logical_host.set_process_priority(pcb, priority)
 
     def suspend_process(self, pcb: Pcb) -> None:
         """Stop scheduling a process until resumed (the paper's program
@@ -357,19 +359,20 @@ class Kernel:
     # ---------------------------------------------------------------- load
 
     def load_summary(self) -> Dict[str, int]:
-        """The load report a program manager answers queries with."""
-        program_processes = 0
-        remote_processes = 0
+        """The load report a program manager answers queries with.
+
+        ``programs`` and ``remote`` sum the per-logical-host counts that
+        :class:`LogicalHost` keeps current as its process table and its
+        processes' priorities change, so the answer costs one step per
+        logical host, not per process."""
+        programs = remote = 0
         for lh in self.logical_hosts.values():
-            for pcb in lh.live_processes():
-                if pcb.priority >= Priority.LOCAL:
-                    program_processes += 1
-                    if pcb.priority == Priority.REMOTE:
-                        remote_processes += 1
+            programs += lh.programs
+            remote += lh.remote
         return {
             "ready": self.scheduler.ready_count(max_priority=Priority.LOCAL),
-            "programs": program_processes,
-            "remote": remote_processes,
+            "programs": programs,
+            "remote": remote,
             "memory_free": self.memory_free,
         }
 

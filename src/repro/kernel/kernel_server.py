@@ -257,7 +257,7 @@ def _h_install_state(kernel, sender, msg):
             return Message("ks-error", error=f"no stub at index {pdesc['index']:#x}")
         stub.body = pdesc["body"]
         stub.name = pdesc["name"]
-        stub.priority = pdesc["priority"]
+        shell.set_process_priority(stub, pdesc["priority"])
         stub.state = pdesc["state"]
         stub.remaining_us = pdesc["remaining_us"]
         stub.resume_value = pdesc["resume_value"]

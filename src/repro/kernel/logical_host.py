@@ -14,11 +14,32 @@ from typing import Any, Dict, List, Optional
 from repro.errors import KernelError, NoSuchProcessError
 from repro.kernel.address_space import AddressSpace
 from repro.kernel.ids import Pid
-from repro.kernel.process import Pcb
+from repro.kernel.process import Pcb, Priority
+
+
+def is_program_priority(priority: int) -> bool:
+    """Whether a process at ``priority`` is a *program* process -- one a
+    program manager counts in its load answer (``LOCAL`` or worse;
+    servers and the migration copier are not programs)."""
+    return priority >= Priority.LOCAL
 
 
 class LogicalHost:
-    """A migratable group of address spaces and processes."""
+    """A migratable group of address spaces and processes.
+
+    The logical host also keeps its program manager's load counts:
+    ``programs`` (PCBs at program priority, see
+    :func:`is_program_priority`) and ``remote`` (PCBs at ``REMOTE``),
+    over the PCBs in its process table.  Every change to the table and
+    every priority change goes through :meth:`add_process`,
+    :meth:`remove_process`, :meth:`discard_process` and
+    :meth:`set_process_priority`, which adjust the counts, so
+    :meth:`Kernel.load_summary <repro.kernel.kernel.Kernel.load_summary>`
+    sums a few integers instead of scanning processes.  A PCB leaves the
+    table the moment it dies, so the counts cover exactly the live
+    processes.  Because they live here, a migrated logical host carries
+    its counts to its new workstation.
+    """
 
     def __init__(self, lhid: int, kernel=None):
         self.lhid = lhid
@@ -27,6 +48,10 @@ class LogicalHost:
         self.kernel = kernel
         self.spaces: List[AddressSpace] = []
         self.processes: Dict[int, Pcb] = {}  # local_index -> Pcb
+        #: Load counts over ``processes``: program-priority PCBs, and the
+        #: ``REMOTE`` ones among them (kept current by the table hooks).
+        self.programs = 0
+        self.remote = 0
         self.frozen = False
         #: Deferred kernel-server/program-manager requests that would
         #: modify this logical host, queued while frozen (paper §3.1.3).
@@ -78,12 +103,33 @@ class LogicalHost:
             )
         self.processes[index] = pcb
         pcb.logical_host = self
+        self._count(pcb.priority, 1)
 
     def remove_process(self, pcb: Pcb) -> None:
         """Unregister a PCB."""
         if self.processes.get(pcb.pid.local_index) is not pcb:
             raise NoSuchProcessError(f"{pcb.pid} not in logical host {self.lhid:#x}")
         del self.processes[pcb.pid.local_index]
+        self._count(pcb.priority, -1)
+
+    def discard_process(self, pcb: Pcb) -> None:
+        """Unregister the PCB at ``pcb``'s local index, if there is one
+        (the teardown paths, which may meet an already-removed entry)."""
+        gone = self.processes.pop(pcb.pid.local_index, None)
+        if gone is not None:
+            self._count(gone.priority, -1)
+
+    def set_process_priority(self, pcb: Pcb, priority: int) -> None:
+        """Change the priority of ``pcb``, one of this host's processes."""
+        self._count(pcb.priority, -1)
+        pcb.priority = priority
+        self._count(priority, 1)
+
+    def _count(self, priority: int, delta: int) -> None:
+        if is_program_priority(priority):
+            self.programs += delta
+            if priority == Priority.REMOTE:
+                self.remote += delta
 
     def find_process(self, local_index: int) -> Optional[Pcb]:
         """The PCB at ``local_index``, or None."""

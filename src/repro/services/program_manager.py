@@ -19,6 +19,7 @@ from typing import Dict, List, Optional
 from repro.errors import KernelError, OutOfMemoryError, SendTimeoutError
 from repro.ipc.messages import Message
 from repro.kernel.ids import FILE_SERVER_GROUP, PROGRAM_MANAGER_GROUP, Pid
+from repro.kernel.logical_host import is_program_priority
 from repro.kernel.machine import Workstation
 from repro.kernel.process import (
     Compute,
@@ -139,20 +140,14 @@ class ProgramManager:
     def program_lhids(self) -> List[int]:
         """Logical hosts on this workstation running program-priority
         processes (includes migrated-in programs we did not create)."""
-        out = []
-        for lhid, lh in sorted(self.kernel.logical_hosts.items()):
-            if any(p.priority >= Priority.LOCAL for p in lh.live_processes()):
-                out.append(lhid)
-        return out
+        return [lhid for lhid, lh in sorted(self.kernel.logical_hosts.items())
+                if lh.programs]
 
     def remote_program_lhids(self) -> List[int]:
         """Logical hosts running remotely-executed programs (the set
         ``migrateprog`` with no argument removes, §3)."""
-        out = []
-        for lhid, lh in sorted(self.kernel.logical_hosts.items()):
-            if any(p.priority == Priority.REMOTE for p in lh.live_processes()):
-                out.append(lhid)
-        return out
+        return [lhid for lhid, lh in sorted(self.kernel.logical_hosts.items())
+                if lh.remote]
 
     # ---------------------------------------------------------------- body
 
@@ -425,7 +420,7 @@ class ProgramManager:
         for lhid in self.program_lhids():
             lh = self.kernel.logical_hosts[lhid]
             for pcb in lh.live_processes():
-                if pcb.priority < Priority.LOCAL:
+                if not is_program_priority(pcb.priority):
                     continue
                 rows.append({
                     "pid": pcb.pid, "name": pcb.name,
@@ -442,7 +437,7 @@ class ProgramManager:
             return True
         if self.pcb is not None and lh is self.pcb.logical_host:
             return True
-        return any(p.priority < Priority.LOCAL for p in lh.live_processes())
+        return any(not is_program_priority(p.priority) for p in lh.live_processes())
 
     def _kill_program(self, sender, msg):
         lh = self.kernel.logical_hosts.get(msg["pid"].logical_host_id)

@@ -78,7 +78,7 @@ class TestLogicalHost:
     def test_add_process_rejects_duplicates(self):
         lh, space = self.make()
         pcb = Pcb(Pid(0x50, 1), lh, space, _parked())
-        lh.processes[1] = pcb
+        lh.add_process(pcb)
         dup = Pcb(Pid(0x50, 1), lh, space, _parked())
         with pytest.raises(KernelError):
             lh.add_process(dup)
@@ -93,7 +93,7 @@ class TestLogicalHost:
         lh, space = self.make()
         for index in (5, 2, 9):
             pcb = Pcb(Pid(0x50, index), lh, space, _parked())
-            lh.processes[index] = pcb
+            lh.add_process(pcb)
         assert [p.pid.local_index for p in lh.live_processes()] == [2, 5, 9]
 
     def test_defer_requires_frozen(self):

@@ -248,11 +248,18 @@ class TestLoadReporting:
         def body():
             yield Compute(1_000_000)
 
+        def parked():
+            yield Delay(10**9)
+
+        cluster.spawn_program(ws, parked(), name="p3")
         cluster.spawn_program(ws, body(), name="p1")
-        cluster.spawn_program(ws, body(), name="p2")
+        cluster.spawn_program(ws, body(), priority=Priority.REMOTE, name="p2")
         cluster.run(until_us=5_000)
         summary = ws.kernel.load_summary()
-        assert summary["programs"] == 2
+        # p3 is a program but blocked: counted in programs, not ready.
+        assert summary["programs"] == 3
+        assert summary["remote"] == 1
+        assert summary["ready"] == 2
 
     def test_memory_accounting(self):
         cluster, ws = make_station()

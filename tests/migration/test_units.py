@@ -89,7 +89,7 @@ def make_lh(n_spaces=1, procs_per_space=1):
         for p in range(procs_per_space):
             index = lh.allocate_index()
             pcb = Pcb(Pid(0x99, index), lh, space, _parked(), name=f"p{s}.{p}")
-            lh.processes[index] = pcb
+            lh.add_process(pcb)
     return lh
 
 
@@ -123,7 +123,7 @@ class TestDescriptors:
         foreign = AddressSpace(PAGE_SIZE, name="foreign")
         index = lh.allocate_index()
         pcb = Pcb(Pid(0x99, index), lh, foreign, _parked(), name="alien")
-        lh.processes[index] = pcb
+        lh.add_process(pcb)
         with pytest.raises(NotMigratableError):
             process_descriptors(lh)
 
