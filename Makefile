@@ -67,7 +67,7 @@ bench-sweep:
 	PYTHONPATH=src:benchmarks python -c "import json, bench_simcore; print(json.dumps(bench_simcore._measure_parallel_sweep(), indent=2))"
 
 examples:
-	for e in examples/*.py; do echo "== $$e"; python $$e; done
+	for e in examples/*.py; do echo "== $$e"; python $$e || exit 1; done
 
 demo:
 	python -m repro demo

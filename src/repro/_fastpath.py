@@ -13,8 +13,8 @@ Every knob changes the modelled trajectory -- which packets exist -- so
 each defaults **off** and is opted into per run (benchmarks,
 ``--copy-plane`` chaos campaigns, verify-matrix cells).  The event core
 and the IPC/network data path have no switches: the binary event heap,
-coalesced same-tick receive processing
-(:meth:`repro.net.ethernet.Ethernet.schedule_rx`), the per-transport
+one receive-processing event per frame
+(:meth:`repro.net.ethernet.Ethernet._deliver`), the per-transport
 packet-kind handler table and the memoized wire-cost figures are simply
 how the code runs.
 """

@@ -153,6 +153,13 @@ class ServerRecord:
         self.received = True
 
 
+class _Handlers(dict):
+    """Packet kind -> bound handler; an unknown kind is a protocol error."""
+
+    def __missing__(self, kind: str):
+        raise IpcError(f"unknown packet kind {kind!r}")
+
+
 class Transport:
     """One kernel's end of the IPC protocol."""
 
@@ -180,10 +187,10 @@ class Transport:
         #: cache nor re-resolve -- the intentionally-broken configuration
         #: that must trip the no-residual-dependency invariant.
         self.rebind_enabled = True
-        nic.install_handler(self.on_packet)
-        #: packet kind -> bound handler, built lazily; replaces a
-        #: per-packet f-string + getattr on the hottest receive path.
-        self._handlers: Dict[str, Any] = {}
+        # The segment runs this kernel's arrivals through a packet-kind
+        # table of bound handlers ("ghq-reply" -> _on_ghq_reply).
+        nic.install_handlers(_Handlers(
+            (kind, getattr(self, name)) for kind, name in _HANDLER_NAMES))
         #: model.bulk_copy_us(PAGE_SIZE) is a pure function of constants;
         #: _record_interval would otherwise recompute it per
         #: (re)transmission.
@@ -461,17 +468,6 @@ class Transport:
         self._clients.pop(record.key, None)
 
     # --------------------------------------------------------------- packets
-
-    def on_packet(self, packet: Packet) -> None:
-        """NIC entry point: dispatch one arriving frame after the
-        kernel's per-packet protocol-processing time."""
-        handler = self._handlers.get(packet.kind)
-        if handler is None:
-            handler = getattr(self, f"_on_{packet.kind.replace('-', '_')}", None)
-            if handler is None:
-                raise IpcError(f"unknown packet kind {packet.kind!r}")
-            self._handlers[packet.kind] = handler
-        self.nic.schedule_rx(self.model.packet_process_us, handler, packet)
 
     # ---- requests
 
@@ -903,7 +899,7 @@ class Transport:
 
     def _on_ghq(self, packet: Packet) -> None:
         lhid = packet.payload["lhid"]
-        if self.kernel.hosts_lhid(lhid):
+        if lhid in self.kernel.logical_hosts:
             self.nic.emit(
                 packet.src,
                 "ghq-reply",
@@ -1075,3 +1071,10 @@ class Transport:
                 continue
             del self._servers[key]
             self._pending_discard(record)
+
+
+#: (packet kind, handler name) per ``_on_*`` method; tables share the keys.
+_HANDLER_NAMES = tuple(
+    (name[4:].replace("_", "-"), name)
+    for name in dir(Transport) if name.startswith("_on_")
+)

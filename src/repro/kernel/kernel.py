@@ -382,7 +382,7 @@ class Kernel:
         """Power the workstation off abruptly: all state is lost and the
         NIC goes silent.  Used by failure-injection experiments."""
         self.alive = False
-        self.nic.remove_handler()
+        self.nic.remove_handlers()
         if self.nic.ethernet is not None:
             self.nic.ethernet.detach(self.nic)
         for lh in list(self.logical_hosts.values()):

@@ -4,9 +4,9 @@ Runs as a process on the *source* workstation at
 :attr:`Priority.MIGRATION` -- above all programs -- "to prevent these
 other programs from interfering with the progress of the pre-copy
 operation" (paper §3.1.2).  Failure handling follows §3.1.3: if the copy
-or transfer fails for lack of acknowledgement, we assume the new host
-failed, unfreeze the original, and (like the paper's implementation)
-give up after the first attempt unless a retry budget is configured.
+or transfer fails for lack of acknowledgement, or a rebooted new host has
+lost the shell, we assume the new host failed, unfreeze the original and
+(like the paper's implementation) give up after one attempt by default.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from typing import Dict, List, Optional
 
 from repro.errors import (
     CopyFailedError,
+    NoSuchProcessError,
     NotMigratableError,
     SendTimeoutError,
 )
@@ -196,7 +197,7 @@ def _attempt(kernel, lh, policy, dest_pm, stats, sim, root_span=0):
             residuals[ordinal] = yield from precopy_space(
                 space, target, policy, stats, sim, parent_span=precopy_span
             )
-    except (CopyFailedError, SendTimeoutError) as exc:
+    except (CopyFailedError, SendTimeoutError, NoSuchProcessError) as exc:
         if precopy_span:
             trace.end_span(precopy_span, outcome="failed")
         return f"pre-copy failed: {exc}"
@@ -248,7 +249,7 @@ def _attempt(kernel, lh, policy, dest_pm, stats, sim, root_span=0):
             raise CopyFailedError(
                 f"state install refused: {install_reply.get('error')}"
             )
-    except (CopyFailedError, SendTimeoutError) as exc:
+    except (CopyFailedError, SendTimeoutError, NoSuchProcessError) as exc:
         # Paper §3.1.3: assume the new host failed; the logical host has
         # not been transferred.  Restore and unfreeze the original.
         if bundle is not None:

@@ -5,30 +5,29 @@ the in-flight frame (this is what makes bulk CopyTo traffic contend with
 IPC traffic, as on the paper's real 10 Mbit segment).  Broadcast frames
 are delivered to every attached NIC except the sender's.
 
-Two hot-path economies, neither of which changes a trajectory:
+The segment also runs receive processing: a frame's handler, taken from
+the receiving NIC's packet-kind table (:class:`repro.net.nic.Nic`), runs
+``packet_process_us`` after arrival.  Two hot-path economies, neither of
+which changes a trajectory:
 
 * wire times are memoized per payload size (the cost model is a pure
   function and a simulation uses only a handful of distinct sizes);
-* **coalesced receive processing**: every kernel charges the same
-  per-packet protocol-processing delay, so one frame delivered to many
-  NICs (a broadcast) -- or back-to-back frames processed in one event --
-  produces a run of handler timers at the *same* simulated time with
-  *consecutive* sequence numbers.  :meth:`Ethernet.schedule_rx` batches
-  such a run into one scheduled event.  Coalescing only happens while
-  ``sim._seq`` has not moved since the batch was opened, which proves no
-  foreign event can sort between the batched handlers; running them
-  back-to-back inside one event is therefore order-identical to running
-  them as separate events.  Each batched handler still counts as one
-  processed event so budgets and event counts match the unbatched
-  execution.  A simulator carrying a schedule perturber
-  (:class:`repro.verify.perturb.TiePerturber`) gets no coalescing: V
-  kernels give a broadcast's receive handlers no defined order, so the
-  perturber must see each one as its own same-instant schedule.
+* **one pass per frame**: :meth:`Ethernet._deliver` walks the receivers
+  once and files all of the frame's handlers as *one* event.  Per-
+  receiver events would be scheduled back to back inside the delivery
+  event, so nothing could sort between them: running them in address
+  order in one event is the same execution.  Each folded handler still
+  counts as a processed event (and in :attr:`Ethernet.rx_coalesced`).
+
+Under a schedule perturber (:class:`repro.verify.perturb.TiePerturber`)
+each handler is its own event: V kernels give a broadcast's handlers no
+defined order, so each must be a swap opportunity.  Under a fault plane,
+a duplicate or delayed copy's schedule ends the group.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.config import DEFAULT_MODEL, HardwareModel
 from repro.errors import SimulationError
@@ -58,19 +57,17 @@ class Ethernet:
         if faults is not None:
             faults.bind_metrics(sim.metrics)
         self._nics: Dict[HostAddress, "Nic"] = {}
-        #: NICs in deterministic (address-sorted) delivery order, rebuilt
-        #: lazily after attach/detach so broadcast delivery does not
-        #: re-sort on every frame.
-        self._sorted_nics: Optional[List["Nic"]] = None
+        #: (address value, NIC), address-sorted; rebuilt lazily after
+        #: attach/detach so broadcasts do not re-sort on every frame.
+        self._sorted_nics: Optional[List[Tuple[int, "Nic"]]] = None
         #: Earliest time the bus is free for the next transmission.
         self._busy_until = 0
         #: Counters for experiment reports.
         self.packets_sent = 0
         self.packets_dropped = 0
         self.bytes_sent = 0
-        #: Same-tick receive-processing events coalesced into one.
+        #: Receive handlers folded into a frame's one processing event.
         self.rx_coalesced = 0
-        self._rx_batch: Optional[list] = None  # [time, guard_seq, items]
         self._wire_us: Dict[int, int] = {}
         # Per-source instruments, labelled by str(address) -- the net
         # layer has no workstation names (repro.obs metric catalog).
@@ -98,16 +95,14 @@ class Ethernet:
         self._sorted_nics = None
         nic.ethernet = None
 
-    def _delivery_order(self) -> List["Nic"]:
-        """Attached NICs, address-sorted; cached until the next
-        attach/detach."""
+    def _delivery_order(self) -> List[Tuple[int, "Nic"]]:
+        """(address value, NIC) pairs, address-sorted; cached until the
+        next attach/detach."""
         order = self._sorted_nics
         if order is None:
-            order = [
-                nic for _, nic in
-                sorted(self._nics.items(), key=lambda kv: kv[0].value)
-            ]
-            self._sorted_nics = order
+            # Address values are unique, so the NICs are never compared.
+            order = self._sorted_nics = sorted(
+                (address.value, nic) for address, nic in self._nics.items())
         return order
 
     def nic_at(self, address: HostAddress) -> Optional["Nic"]:
@@ -117,7 +112,7 @@ class Ethernet:
     @property
     def addresses(self) -> List[HostAddress]:
         """Addresses of all attached NICs (sorted for determinism)."""
-        return [nic.address for nic in self._delivery_order()]
+        return [nic.address for _, nic in self._delivery_order()]
 
     # ----------------------------------------------------------- transmission
 
@@ -160,25 +155,69 @@ class Ethernet:
             )
         self._sched(done - now, self._deliver, packet)
 
-    def _deliver(self, packet: Packet) -> None:
-        if packet.is_broadcast:
-            src = packet.src
-            targets = [n for n in self._delivery_order() if n.address != src]
+    def _deliver(self, packet: Packet, copy_to: Optional["Nic"] = None) -> None:
+        """A frame's arrival: one pass over its receivers (see the module
+        docstring).  ``copy_to`` is the receiver of a fault plane's copy."""
+        faults = self.faults
+        loss = self.loss
+        skip = None  # the sender's address value, for a broadcast
+        if copy_to is not None:
+            targets = ((-1, copy_to),)
+            faults = loss = None
+        elif packet.is_broadcast:
+            targets = self._delivery_order()
+            skip = packet.src.value
         else:
             nic = self._nics.get(packet.dst)
-            targets = [nic] if nic is not None else []
-        trace = self.sim.trace
-        faults = self.faults
-        for nic in targets:
-            if faults is not None:
-                if self._deliver_with_faults(faults, packet, nic, trace):
-                    continue
-            elif self.loss.drops(self.sim, packet):
-                self._count_drop(packet, nic, trace)
+            if nic is None:
+                return
+            targets = ((-1, nic),)
+        if loss.__class__ is NoLoss:
+            loss = None
+        kind = packet.kind
+        delay = self.model.packet_process_us
+        metered = self.metrics.active
+        group: list = []
+        for value, nic in targets:
+            if value == skip:
                 continue
-            nic.receive(packet)
+            if faults is not None:
+                if self._deliver_with_faults(faults, packet, nic, group, delay):
+                    continue
+            elif loss is not None and loss.drops(self.sim, packet):
+                self._count_drop(packet, nic)
+                continue
+            handlers = nic.handlers
+            if handlers is None:
+                nic.dropped_no_handler += 1
+                if metered:
+                    nic._m_rx_dropped.value += 1
+                continue
+            nic.received += 1
+            if metered:
+                nic._m_rx.value += 1
+            group.append(handlers[kind])
+        if group:
+            self._file_rx(delay, group, packet)
 
-    def _count_drop(self, packet: Packet, nic, trace) -> None:
+    def _file_rx(self, delay: int, handlers: list, packet: Packet) -> None:
+        """Schedule one frame's handlers: one event, or one each while a
+        perturber is armed (each is then a swap opportunity)."""
+        if len(handlers) == 1 or self.sim._perturber is not None:
+            for fn in handlers:
+                self._sched(delay, fn, packet)
+            return
+        self.rx_coalesced += len(handlers) - 1
+        self._sched(delay, self._run_rx_batch, handlers, packet)
+
+    def _run_rx_batch(self, handlers: list, packet: Packet) -> None:
+        # Each folded handler still counts as one processed event, so
+        # event counts and budgets match the per-receiver execution.
+        self.sim._event_count += len(handlers) - 1
+        for fn in handlers:
+            fn(packet)
+
+    def _count_drop(self, packet: Packet, nic) -> None:
         self.packets_dropped += 1
         if self.metrics.active:
             drop = self._m_drops.get(nic.address)
@@ -187,28 +226,36 @@ class Ethernet:
                     "net.drops", str(nic.address)
                 )
             drop.inc()
+        trace = self.sim.trace
         if trace.active:
             trace.record(
                 "net", "drop", packet_id=packet.packet_id, dst=str(nic.address),
             )
 
-    def _deliver_with_faults(self, faults, packet: Packet, nic, trace) -> bool:
+    def _deliver_with_faults(self, faults, packet: Packet, nic,
+                             group: list, delay: int) -> bool:
         """Apply the fault plane's plan for one delivery.  Returns True
-        when the caller must NOT deliver the frame inline (discarded or
-        deferred); duplicate and delayed copies are scheduled here."""
+        when the caller must NOT deliver the frame now (discarded or
+        deferred).  Duplicate and delayed copies are scheduled here,
+        after filing ``group``: their schedules would sort between the
+        handlers before and after them."""
         plan = faults.plan(self.sim, packet)
+        trace = self.sim.trace
         if plan.dropped or plan.corrupted:
-            self._count_drop(packet, nic, trace)
+            self._count_drop(packet, nic)
             if plan.corrupted and trace.active:
                 trace.record(
                     "net", "corrupt", packet_id=packet.packet_id,
                     dst=str(nic.address),
                 )
             return True
+        if (plan.duplicates or plan.delay_us) and group:
+            self._file_rx(delay, group[:], packet)
+            group.clear()
         for copy in range(plan.duplicates):
             self._sched(
                 plan.delay_us + (copy + 1) * max(1, plan.dup_delay_us),
-                nic.receive, packet,
+                self._deliver, packet, nic,
             )
             if trace.active:
                 trace.record(
@@ -221,43 +268,6 @@ class Ethernet:
                     "net", "reorder", packet_id=packet.packet_id,
                     dst=str(nic.address), delay_us=plan.delay_us,
                 )
-            self._sched(plan.delay_us, nic.receive, packet)
+            self._sched(plan.delay_us, self._deliver, packet, nic)
             return True
         return False
-
-    # ------------------------------------------- receive-processing batching
-
-    def schedule_rx(self, delay_us: int, fn, packet: Packet) -> None:
-        """Schedule one receive-processing callback, coalescing it into
-        the open same-time batch when provably order-identical (see the
-        module docstring)."""
-        sim = self.sim
-        if sim._perturber is not None:
-            sim.schedule(delay_us, fn, packet)
-            return
-        time = sim._now + delay_us
-        batch = self._rx_batch
-        if batch is not None and batch[0] == time and batch[1] == sim._seq:
-            batch[2].append((fn, packet))
-            self.rx_coalesced += 1
-            return
-        items = [(fn, packet)]
-        batch = [time, 0, items]
-        self._rx_batch = batch
-        sim.schedule(delay_us, self._run_rx_batch, items)
-        batch[1] = sim._seq
-
-    def _run_rx_batch(self, items: list) -> None:
-        batch = self._rx_batch
-        if batch is not None and batch[2] is items:
-            # This batch is firing; a later same-time schedule_rx must
-            # open a fresh one rather than append to a fired batch.
-            self._rx_batch = None
-        sim = self.sim
-        # Each coalesced handler still counts as one processed event, so
-        # event counts and budgets match the unbatched execution.
-        extra = len(items) - 1
-        if extra:
-            sim._event_count += extra
-        for fn, packet in items:
-            fn(packet)

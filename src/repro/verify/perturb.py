@@ -31,8 +31,8 @@ is a pure function of its inputs.
 Off by default and orthogonal to the :mod:`repro._fastpath` switch
 blocks (nothing constructs one outside the verification harness).  While
 one is installed the Ethernet schedules every receive handler as its own
-event instead of coalescing same-tick handlers, so broadcast fan-out
-offers the perturber a swap opportunity per receiver.
+event instead of one event per frame, so broadcast fan-out offers the
+perturber a swap opportunity per receiver.
 """
 
 from __future__ import annotations

@@ -20,6 +20,18 @@ from repro.net import Ethernet
 from repro.sim import Simulator
 
 
+class AnyKind(dict):
+    """A NIC handler table that sends every packet kind to one
+    callback."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, kind):
+        return self.fn
+
+
 class BareCluster:
     """A simulator, an Ethernet, and N bare workstations."""
 

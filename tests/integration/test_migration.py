@@ -392,6 +392,28 @@ class TestMigrationFailure:
         pcb = cluster.workstations[1].kernel.find_pcb(state["pid"])
         assert pcb is not None or state.get("exit_code") == 0
 
+    def test_destination_reboot_mid_copy_unfreezes_original(self):
+        # A rebooted destination answers the copy at once: the shell's
+        # pid does not exist there any more.  That is the same failed
+        # new host (paper §3.1.3), not a crash of the migration manager.
+        cluster = make_cluster(n=3)
+        state = start_remote_program(cluster, program="bigjob", where="ws1")
+        cluster.run(until_us=3_000_000)
+        results = []
+        dest_pm_pid = cluster.pm("ws2").pcb.pid
+
+        def migrator(ctx):
+            reply = yield from migrate_program(state["pid"], dest_pm=dest_pm_pid)
+            results.append(reply)
+
+        cluster.spawn_session(cluster.workstations[0], migrator, name="migrator")
+        cluster.run(until_us=4_500_000)
+        cluster.reboot_workstation("ws2")
+        cluster.run(until_us=300_000_000)
+        assert results and not results[0]["ok"]
+        assert "pre-copy failed" in results[0]["error"]
+        assert state.get("exit_code") == 0
+
 
 class TestMigrateprogCommand:
     def test_migrate_all_remote_clears_workstation(self):

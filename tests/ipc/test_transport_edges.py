@@ -98,6 +98,17 @@ class TestMisuse:
         # The scheduler records the fault rather than wedging the CPU.
         assert not pcb.alive
 
+    def test_unknown_packet_kind_is_a_protocol_error(self):
+        cluster = BareCluster(n=2)
+        a, b = cluster.stations
+        a.nic.emit(b.nic.address, "no-such-kind", None)
+        with pytest.raises(IpcError, match="unknown packet kind 'no-such-kind'"):
+            cluster.run()
+        # Known kinds map to the transport's _on_* handlers.
+        handlers = b.nic.handlers
+        assert handlers["ghq-reply"] == b.kernel.ipc._on_ghq_reply
+        assert handlers["copyfrom-data"] == b.kernel.ipc._on_copyfrom_data
+
 
 class TestGroupReplies:
     def test_group_replies_empty_without_group_send(self):

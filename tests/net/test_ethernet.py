@@ -1,5 +1,7 @@
 """Unit tests for the Ethernet bus, NICs, addresses and loss models."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import DEFAULT_MODEL
@@ -16,11 +18,13 @@ from repro.net import (
 )
 from repro.net.addresses import workstation_address
 from repro.sim import Simulator
+from tests.helpers import AnyKind
 
 
 def make_net(n_hosts=2, loss=None, seed=0):
+    # No protocol-processing time: handlers run at the arrival instant.
     sim = Simulator(seed=seed)
-    net = Ethernet(sim, DEFAULT_MODEL, loss=loss)
+    net = Ethernet(sim, replace(DEFAULT_MODEL, packet_process_us=0), loss=loss)
     nics = []
     for i in range(n_hosts):
         nic = Nic(sim, workstation_address(i))
@@ -74,7 +78,7 @@ class TestDelivery:
         sim, net, nics = make_net(3)
         got = {i: [] for i in range(3)}
         for i, nic in enumerate(nics):
-            nic.install_handler(lambda p, i=i: got[i].append(p.kind))
+            nic.install_handlers(AnyKind(lambda p, i=i: got[i].append(p.kind)))
         nics[0].send(Packet(nics[0].address, nics[1].address, "hello", None))
         sim.run()
         assert got[1] == ["hello"]
@@ -84,7 +88,7 @@ class TestDelivery:
         sim, net, nics = make_net(4)
         got = {i: [] for i in range(4)}
         for i, nic in enumerate(nics):
-            nic.install_handler(lambda p, i=i: got[i].append(p.kind))
+            nic.install_handlers(AnyKind(lambda p, i=i: got[i].append(p.kind)))
         nics[2].send(Packet(nics[2].address, BROADCAST, "query", None))
         sim.run()
         assert got[2] == []
@@ -93,7 +97,7 @@ class TestDelivery:
     def test_delivery_takes_wire_time(self):
         sim, net, nics = make_net(2)
         arrival = []
-        nics[1].install_handler(lambda p: arrival.append(sim.now))
+        nics[1].install_handlers(AnyKind(lambda p: arrival.append(sim.now)))
         pkt = Packet(nics[0].address, nics[1].address, "d", None, size_bytes=1024)
         nics[0].send(pkt)
         sim.run()
@@ -102,7 +106,7 @@ class TestDelivery:
     def test_bus_serializes_back_to_back_sends(self):
         sim, net, nics = make_net(2)
         arrivals = []
-        nics[1].install_handler(lambda p: arrivals.append(sim.now))
+        nics[1].install_handlers(AnyKind(lambda p: arrivals.append(sim.now)))
         wire = DEFAULT_MODEL.packet_wire_us(1024)
         for _ in range(3):
             nics[0].send(Packet(nics[0].address, nics[1].address, "d", None, size_bytes=1024))
@@ -124,7 +128,7 @@ class TestDelivery:
     def test_packet_to_detached_nic_vanishes(self):
         sim, net, nics = make_net(2)
         got = []
-        nics[1].install_handler(lambda p: got.append(p))
+        nics[1].install_handlers(AnyKind(lambda p: got.append(p)))
         net.detach(nics[1])
         nics[0].send(Packet(nics[0].address, nics[1].address, "x", None))
         sim.run()
@@ -144,7 +148,7 @@ class TestDelivery:
 
     def test_counters(self):
         sim, net, nics = make_net(2)
-        nics[1].install_handler(lambda p: None)
+        nics[1].install_handlers(AnyKind(lambda p: None))
         nics[0].send(Packet(nics[0].address, nics[1].address, "x", None, size_bytes=200))
         sim.run()
         assert net.packets_sent == 1
@@ -155,7 +159,7 @@ class TestLossModels:
     def test_no_loss_never_drops(self):
         sim, net, nics = make_net(2, loss=NoLoss())
         got = []
-        nics[1].install_handler(lambda p: got.append(p))
+        nics[1].install_handlers(AnyKind(lambda p: got.append(p)))
         for _ in range(50):
             nics[0].send(Packet(nics[0].address, nics[1].address, "x", None))
         sim.run()
@@ -164,7 +168,7 @@ class TestLossModels:
     def test_bernoulli_full_loss_drops_everything(self):
         sim, net, nics = make_net(2, loss=BernoulliLoss(1.0))
         got = []
-        nics[1].install_handler(lambda p: got.append(p))
+        nics[1].install_handlers(AnyKind(lambda p: got.append(p)))
         for _ in range(20):
             nics[0].send(Packet(nics[0].address, nics[1].address, "x", None))
         sim.run()
@@ -175,7 +179,7 @@ class TestLossModels:
         def run(seed):
             sim, net, nics = make_net(2, loss=BernoulliLoss(0.3), seed=seed)
             got = []
-            nics[1].install_handler(lambda p: got.append(p.packet_id))
+            nics[1].install_handlers(AnyKind(lambda p: got.append(p.packet_id)))
             for _ in range(100):
                 nics[0].send(Packet(nics[0].address, nics[1].address, "x", None))
             sim.run()
@@ -191,7 +195,7 @@ class TestLossModels:
     def test_burst_loss_produces_runs(self):
         sim, net, nics = make_net(2, loss=BurstLoss(p_good_to_bad=0.2, p_bad_to_good=0.3))
         outcomes = []
-        nics[1].install_handler(lambda p: outcomes.append(p.packet_id))
+        nics[1].install_handlers(AnyKind(lambda p: outcomes.append(p.packet_id)))
         n = 200
         for _ in range(n):
             nics[0].send(Packet(nics[0].address, nics[1].address, "x", None))

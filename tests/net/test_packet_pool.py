@@ -1,4 +1,5 @@
-"""Packet delivery through ``Nic.emit`` and coalesced receive processing."""
+"""Packet delivery through ``Nic.emit`` and a broadcast's one receive-
+processing event."""
 
 from repro.config import DEFAULT_MODEL
 from repro.net import BROADCAST, Ethernet, Nic
@@ -6,6 +7,7 @@ from repro.net.addresses import workstation_address
 from repro.sim import Simulator
 from repro.sim.engine import arm_perturber
 from repro.verify import TiePerturber
+from tests.helpers import AnyKind
 
 
 def make_net(n_hosts=2, seed=0, perturber=None):
@@ -25,7 +27,7 @@ class TestPooledDelivery:
     def test_emit_delivers_like_send(self):
         sim, net, nics = make_net(2)
         got = []
-        nics[1].install_handler(lambda p: got.append((p.kind, p.payload)))
+        nics[1].install_handlers(AnyKind(lambda p: got.append((p.kind, p.payload))))
         nics[0].emit(nics[1].address, "hello", {"n": 1})
         sim.run()
         assert got == [("hello", {"n": 1})]
@@ -34,7 +36,7 @@ class TestPooledDelivery:
         # A frame a receiver keeps is never reused for later traffic.
         sim, net, nics = make_net(2)
         kept = []
-        nics[1].install_handler(kept.append)
+        nics[1].install_handlers(AnyKind(kept.append))
         nics[0].emit(nics[1].address, "keep", {"v": 7})
         sim.run()
         assert kept[0].payload == {"v": 7}
@@ -45,17 +47,14 @@ class TestPooledDelivery:
 
 
 class TestBatchedRx:
-    """Coalescing happens on the receive-*processing* hop: handlers that
-    charge a per-packet protocol delay via ``nic.schedule_rx`` (as the
-    IPC transport does), not raw same-event delivery callbacks."""
+    """A broadcast's receive handlers -- the NICs' handler tables, run
+    the model's per-packet protocol delay after arrival, as the IPC
+    transport's are -- share one processing event."""
 
     @staticmethod
-    def _processing_handlers(sim, nics, got, delay_us=25):
+    def _processing_handlers(sim, nics, got):
         for i, nic in enumerate(nics[1:], start=1):
-            def handler(p, nic=nic, i=i):
-                nic.schedule_rx(delay_us, lambda pp, i=i: got.append(
-                    (i, sim.now)), p)
-            nic.install_handler(handler)
+            nic.install_handlers({"q": lambda p, i=i: got.append((i, sim.now))})
 
     def test_broadcast_processing_coalesces_and_preserves_order(self):
         sim, net, nics = make_net(4)
