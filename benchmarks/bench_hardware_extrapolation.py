@@ -13,7 +13,7 @@ from dataclasses import replace
 
 from repro.config import DEFAULT_MODEL
 from repro.cluster import build_cluster
-from repro.execution import exec_program
+from repro.execution import ExecSpec, exec_program
 from repro.kernel.process import Priority
 from repro.metrics.report import ExperimentReport, register
 from repro.migration.manager import run_migration
@@ -38,8 +38,9 @@ def _measure(bits_per_us, packet_process_us, strategy, seed=51):
     holder = {}
 
     def session(ctx):
-        pid, pm = yield from exec_program(ctx, "parser", where="ws1")
-        holder["pid"] = pid
+        handle = yield from exec_program(
+            ctx, ExecSpec("parser", where="ws1"))
+        holder["pid"] = handle.pid
 
     cluster.spawn_session(cluster.workstations[0], session)
     run_until(cluster, lambda: "pid" in holder)

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 from repro.config import DEFAULT_MODEL
 from repro.cluster import build_cluster
-from repro.execution import ProgramImage, ProgramRegistry, exec_program
+from repro.execution import ExecSpec, ProgramImage, ProgramRegistry, exec_program
 from repro.kernel.process import Compute, Priority, TouchPages
 from repro.metrics.report import ExperimentReport, register
 from repro.migration.manager import run_migration
@@ -47,8 +47,9 @@ def _migrate(strategy, mb, seed=0):
     holder = {}
 
     def session(ctx):
-        pid, pm = yield from exec_program(ctx, f"job{mb}", where="ws1")
-        holder["pid"] = pid
+        handle = yield from exec_program(
+            ctx, ExecSpec(f"job{mb}", where="ws1"))
+        holder["pid"] = handle.pid
 
     cluster.spawn_session(cluster.workstations[0], session)
     run_until(cluster, lambda: "pid" in holder)

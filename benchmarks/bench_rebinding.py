@@ -16,7 +16,7 @@ from dataclasses import replace
 
 from repro.config import DEFAULT_MODEL
 from repro.cluster import build_cluster
-from repro.execution import ProgramImage, ProgramRegistry, exec_program
+from repro.execution import ExecSpec, ProgramImage, ProgramRegistry, exec_program
 from repro.ipc.messages import Message
 from repro.kernel.process import Compute, Delay, Receive, Reply, Send
 from repro.metrics.report import ExperimentReport, register
@@ -47,8 +47,9 @@ def _measure(eager: bool, crash_old_host: bool = False, seed=31):
     holder = {}
 
     def launcher(ctx):
-        pid, pm = yield from exec_program(ctx, "pingsrv", where="ws1")
-        holder["pid"] = pid
+        handle = yield from exec_program(
+            ctx, ExecSpec("pingsrv", where="ws1"))
+        holder["pid"] = handle.pid
 
     cluster.spawn_session(cluster.workstations[0], launcher, name="launch")
     run_until(cluster, lambda: "pid" in holder)

@@ -10,7 +10,7 @@ byte-for-byte the same shape locally and remotely, (b) a program's
 """
 
 from repro.cluster import build_cluster
-from repro.execution import ProgramImage, ProgramRegistry, exec_program, wait_for_program
+from repro.execution import ExecSpec, ProgramImage, ProgramRegistry, run_program
 from repro.kernel.process import Compute
 from repro.metrics.report import ExperimentReport, register
 
@@ -42,10 +42,9 @@ def _measure():
     done = []
 
     def session(ctx):
-        pid, pm = yield from exec_program(ctx, "probe", args=("x",))
-        yield from wait_for_program(pm, pid)
-        pid, pm = yield from exec_program(ctx, "probe", args=("x",), where="ws1")
-        yield from wait_for_program(pm, pid)
+        yield from run_program(ctx, ExecSpec("probe", args=("x",)))
+        yield from run_program(
+            ctx, ExecSpec("probe", args=("x",), where="ws1"))
         done.append(True)
 
     cluster.spawn_session(cluster.workstations[0], session, name="probe-session")

@@ -10,7 +10,7 @@ users want to use them."
 
 from repro.cluster import Owner, build_cluster
 from repro.errors import NoCandidateHostError
-from repro.execution import exec_and_wait
+from repro.execution import ExecSpec, run_program
 from repro.metrics.report import ExperimentReport, register
 from repro.migration.migrateprog import migrate_all_remote
 from repro.workloads import standard_registry
@@ -33,7 +33,8 @@ def _simulate_peak_hours():
 
         yield Delay(1 + j * 2_000_000)
         try:
-            code = yield from exec_and_wait(ctx, "cc68", (f"f{j}.c",), where="*")
+            code = yield from run_program(
+                ctx, ExecSpec("cc68", args=(f"f{j}.c",), where="*"))
             honored.append(code)
         except NoCandidateHostError:
             refused.append(j)

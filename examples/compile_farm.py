@@ -15,7 +15,7 @@ Run:  python examples/compile_farm.py
 
 from repro.cluster import build_cluster
 from repro.cluster.owner import Owner
-from repro.execution import exec_and_wait
+from repro.execution import ExecSpec, run_program
 from repro.workloads import standard_registry
 
 JOBS = (("cc68", ("main.c",)), ("tex", ("paper.tex",)), ("cc68", ("util.c",)))
@@ -33,7 +33,8 @@ def run_scenario(offload: bool, seed: int = 7):
     if offload:
         # Idle machines take one job each: submit them all at once.
         def batch_session(ctx, program, args):
-            code = yield from exec_and_wait(ctx, program, args, where="*")
+            code = yield from run_program(
+                ctx, ExecSpec(program, args=args, where="*"))
             finished.append((program, ctx.sim.now, code))
 
         for i, (program, args) in enumerate(JOBS):
@@ -48,7 +49,7 @@ def run_scenario(offload: bool, seed: int = 7):
         # them back to back.
         def serial_session(ctx):
             for program, args in JOBS:
-                code = yield from exec_and_wait(ctx, program, args)
+                code = yield from run_program(ctx, ExecSpec(program, args=args))
                 finished.append((program, ctx.sim.now, code))
 
         cluster.spawn_session(cluster.workstations[0], serial_session, name="serial")

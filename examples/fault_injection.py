@@ -16,7 +16,7 @@ Run:  python examples/fault_injection.py
 
 from repro.cluster import build_cluster
 from repro.cluster.monitor import ClusterMonitor
-from repro.execution import exec_program, wait_for_program
+from repro.execution import ExecSpec, exec_program, wait_program
 from repro.migration.migrateprog import migrate_program
 from repro.net import BernoulliLoss
 from repro.workloads import standard_registry
@@ -31,9 +31,10 @@ def scenario_lossy_migration():
     job = {}
 
     def session(ctx):
-        pid, pm = yield from exec_program(ctx, "longsim", where="ws1")
-        job["pid"] = pid
-        code = yield from wait_for_program(pm, pid)
+        handle = yield from exec_program(
+            ctx, ExecSpec("longsim", where="ws1"))
+        job["pid"] = handle.pid
+        code = yield from wait_program(ctx, handle)
         job["code"] = code
 
     cluster.spawn_session(cluster.workstations[0], session)
@@ -66,9 +67,10 @@ def scenario_destination_crash():
     job = {}
 
     def session(ctx):
-        pid, pm = yield from exec_program(ctx, "longsim", where="ws1")
-        job["pid"] = pid
-        code = yield from wait_for_program(pm, pid)
+        handle = yield from exec_program(
+            ctx, ExecSpec("longsim", where="ws1"))
+        job["pid"] = handle.pid
+        code = yield from wait_program(ctx, handle)
         job["code"] = code
 
     cluster.spawn_session(cluster.workstations[0], session)
@@ -102,8 +104,9 @@ def scenario_old_host_reboot():
     job = {}
 
     def session(ctx):
-        pid, pm = yield from exec_program(ctx, "longsim", where="ws1")
-        job["pid"] = pid
+        handle = yield from exec_program(
+            ctx, ExecSpec("longsim", where="ws1"))
+        job["pid"] = handle.pid
 
     cluster.spawn_session(cluster.workstations[0], session)
     while "pid" not in job and cluster.sim.peek() is not None:

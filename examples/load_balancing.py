@@ -15,7 +15,7 @@ Run:  python examples/load_balancing.py
 
 from repro.cluster import BalancerPolicy, build_cluster, install_load_balancer
 from repro.cluster.monitor import ClusterMonitor
-from repro.execution import exec_program, wait_for_program
+from repro.execution import ExecSpec, exec_program, wait_program
 from repro.workloads import standard_registry
 
 N_JOBS = 4
@@ -28,9 +28,10 @@ def run(balanced: bool):
     holders = []
 
     def session(ctx, holder):
-        pid, pm = yield from exec_program(ctx, "longsim", where="ws1")
-        holder["pid"] = pid
-        code = yield from wait_for_program(pm, pid)
+        handle = yield from exec_program(
+            ctx, ExecSpec("longsim", where="ws1"))
+        holder["pid"] = handle.pid
+        code = yield from wait_program(ctx, handle)
         holder["code"] = code
         holder["finished"] = ctx.sim.now
 

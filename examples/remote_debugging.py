@@ -16,7 +16,7 @@ Run:  python examples/remote_debugging.py
 
 from repro.cluster import build_cluster
 from repro.cluster.monitor import ClusterMonitor
-from repro.execution import exec_program
+from repro.execution import ExecSpec, exec_program
 from repro.kernel.process import Delay
 from repro.migration.migrateprog import migrate_program
 from repro.services import DebugSession
@@ -30,8 +30,9 @@ def main():
     holder = {}
 
     def launcher(ctx):
-        pid, pm = yield from exec_program(ctx, "longsim", where="ws1")
-        holder["pid"] = pid
+        handle = yield from exec_program(
+            ctx, ExecSpec("longsim", where="ws1"))
+        holder["pid"] = handle.pid
 
     cluster.spawn_session(cluster.workstations[0], launcher)
     while "pid" not in holder and cluster.sim.peek() is not None:

@@ -119,7 +119,8 @@ class Cluster:
         fresh.kernel.file_server_pid = self.file_servers[0].pcb.pid
         if name in self.host_caches:
             # The old cache daemon died with the machine; boot a fresh
-            # one (its view starts empty, like any rebooted host's).
+            # one (its view starts empty, like any rebooted host's) and
+            # with it announce the fresh manager's binding.
             from repro.cluster.placement import install_host_state_cache
 
             self.host_caches[name] = install_host_state_cache(self, fresh)

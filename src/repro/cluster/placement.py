@@ -11,12 +11,19 @@ alternative on top of the same public facilities:
   that program managers attach to the replies they already send
   (weightless on the simulated wire, so always on), and periodic
   *anti-entropy* ``probe-load`` refreshes of the stalest entries (real
-  messages, so gated behind ``PLACEMENT.load_cache``).
+  messages, so gated behind ``PLACEMENT.load_cache``).  Booting a cache
+  broadcasts its workstation's program-manager binding once (V's
+  eager-rebind broadcast, §3.1.4), so every kernel routes refreshes and
+  probes to that manager from its binding cache instead of resolving it
+  with a cluster-wide host query.  With the daemon the cache boots a
+  small team of prober processes that run RandomK's probes
+  concurrently.
 
 * Pluggable placement policies for ``@ *`` execution:
   :class:`FirstResponder` (the paper's multicast, byte-identical default),
-  :class:`RandomK` (power-of-d-choices: probe ``k`` cached-idle hosts,
-  place on the least loaded prober that accepts -- O(k) messages), and
+  :class:`RandomK` (power-of-d-choices: probe ``k`` cached-idle hosts
+  at once, place on the least loaded willing answer within one probe
+  window, else on the first that comes -- O(k) messages), and
   :class:`CachedBestFit` (no probes at all: trust the cached view, let
   admission control catch staleness).
 
@@ -31,13 +38,16 @@ client retries elsewhere under a bounded backoff budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import NoSuchProcessError, SendTimeoutError
-from repro.ipc.messages import Message
+from repro.ipc.messages import MESSAGE_BYTES, Message
 from repro.kernel.ids import Pid
-from repro.kernel.process import Delay, GetReplies, Pcb, Send
+from repro.kernel.process import (
+    Delay, GetReplies, Pcb, Priority, Receive, Reply, Send,
+)
 from repro.services.service import install_service
 
 #: How long a cached digest counts as fresh (simulated µs).
@@ -53,10 +63,19 @@ DEFAULT_REFRESH_FANOUT = 2
 #: probe-candidate selection (matches AcceptPolicy.max_program_processes).
 DEFAULT_IDLE_LOAD = 3
 
+#: Prober processes each cache boots: enough for one RandomK(3) select
+#: to probe all its hosts at once (more probes queue for a free one).
+PROBERS = 3
+
 
 @dataclass(frozen=True)
 class HostDigest:
     """One host's load summary as last heard (the piggy-backed unit)."""
+
+    # Every cache holds one per host, n^2 in a cluster: no per-instance
+    # dict.
+    __slots__ = ("host", "pm", "load", "remote", "ready", "memory_free",
+                 "ts_us")
 
     host: str
     pm: Pid
@@ -94,10 +113,12 @@ class CacheStats:
 class HostStateCache:
     """A slightly-stale, TTL'd view of every workstation's load.
 
-    Purely passive state plus one daemon process: :meth:`observe` folds
-    in digests piggy-backed on replies the caller already received (no
-    traffic of its own), and :meth:`body` is the anti-entropy loop that
-    keeps the view from decaying when nobody happens to be execing.
+    Passive state plus a daemon and a prober team: :meth:`observe`
+    folds in digests piggy-backed on replies the caller already received
+    (no traffic of its own), :meth:`body` is the anti-entropy loop that
+    keeps the view from decaying when nobody happens to be execing, and
+    :meth:`dispatcher_body` hands placement probes to the
+    :meth:`prober_body` team so they run concurrently.
     """
 
     def __init__(
@@ -117,6 +138,10 @@ class HostStateCache:
         self.entries: Dict[str, HostDigest] = {}
         self.stats = CacheStats()
         self.pcb: Optional[Pcb] = None
+        #: The probe dispatcher and its prober team (see
+        #: :func:`install_host_state_cache`).
+        self.dispatcher: Optional[Pcb] = None
+        self.probers: List[Pcb] = []
         self._running = True
         self._m_obs = self.sim.metrics.counter(
             "placement.cache.observations", owner_host)
@@ -224,6 +249,111 @@ class HostStateCache:
                     self._m_refresh.inc()
                 self.observe_reply(reply)
 
+    # ------------------------------------------------------------ prober team
+
+    def probe_window_us(self) -> int:
+        """How long an idle host's probe takes from dispatch to reply:
+        the manager's query handling, a request and a reply packet, and
+        one local hand-off per prober.  Probes that answer within it
+        compete on load; later ones race (see :class:`RandomK`)."""
+        model = self.cluster.model
+        return (model.host_query_handling_us
+                + 2 * model.packet_cost_us(MESSAGE_BYTES)
+                + PROBERS * model.local_rpc_us)
+
+    def dispatcher_body(self):
+        """Serve probe requests with the prober team.
+
+        ``probe-hosts`` names hosts in the order to probe them.  Each
+        host becomes one job, handed to an idle prober by a Send it
+        answers at once (V's worker-process idiom: only probers block on
+        probes), and the requester gets a ticket back at once.
+        ``probe-choose`` with that ticket is answered with the
+        least-loaded willing host heard so far (``probe-winner``), else
+        with the first willing host still to answer, else, once every
+        probe failed or declined, with ``probe-none``.  Results that
+        land after the answer only refresh the view.
+        """
+        idle = [p.pid for p in self.probers]
+        jobs: deque = deque()
+        while True:
+            sender, msg = yield Receive()
+            if msg.kind == "probe-hosts":
+                hosts = msg["hosts"]
+                request = _ProbeRequest(len(hosts))
+                jobs.extend((request, d, msg["memory_needed"])
+                            for d in hosts)
+                yield Reply(sender, Message("probe-ticket", request=request))
+            else:
+                if msg.kind == "probe-choose":
+                    request = msg["request"]
+                    request.client = sender
+                else:  # "probed": a prober's result
+                    yield Reply(sender, Message("probe-noted"))
+                    idle.append(sender)
+                    request = msg["request"]
+                    request.pending -= 1
+                    if msg["live"] is not None:
+                        request.willing.append(msg["live"])
+                answer = request.answer()
+                if answer is not None:
+                    yield Reply(request.client, answer)
+                    request.client = None
+            while jobs and idle:
+                request, d, memory_needed = jobs.popleft()
+                yield Send(idle.pop(0), Message(
+                    "probe", request=request, digest=d,
+                    memory_needed=memory_needed))
+
+    def prober_body(self):
+        """One prober: take a job from the dispatcher, probe the host,
+        fold the reply into the view and report the willing digest (or
+        None) back.  A host that times out or is gone is dropped."""
+        m = self.sim.metrics
+        while True:
+            dispatcher, job = yield Receive()
+            yield Reply(dispatcher, Message("probe-taken"))
+            d = job["digest"]
+            live = None
+            try:
+                reply = yield Send(d.pm, Message(
+                    "probe-load", memory_needed=job["memory_needed"]))
+            except (SendTimeoutError, NoSuchProcessError):
+                self.drop(d.host)
+            else:
+                if m.active:
+                    m.counter("placement.probes").inc()
+                self.observe_reply(reply)
+                if reply.get("willing", False):
+                    live = HostDigest.from_fields(reply.get("digest") or {})
+            yield Send(dispatcher, Message(
+                "probed", request=job["request"], live=live))
+
+
+class _ProbeRequest:
+    """One ``probe-hosts`` request at the dispatcher: the willing
+    digests heard so far, how many probes have not reported, and who
+    waits for the choice (None until asked, and again once answered)."""
+
+    __slots__ = ("willing", "pending", "client")
+
+    def __init__(self, pending: int):
+        self.willing: List[HostDigest] = []
+        self.pending = pending
+        self.client: Optional[Pid] = None
+
+    def answer(self) -> Optional[Message]:
+        """The reply owed to the waiting client, or None while there is
+        nobody to answer or nothing to answer with yet."""
+        if self.client is None:
+            return None
+        if self.willing:
+            best = min(self.willing, key=_fit_key)
+            return Message("probe-winner", pm=best.pm, host=best.host)
+        if self.pending == 0:
+            return Message("probe-none")
+        return None
+
 
 def _fit_key(d: HostDigest):
     """Total order for 'best' host: load asc, free memory desc, name."""
@@ -232,11 +362,29 @@ def _fit_key(d: HostDigest):
 
 def install_host_state_cache(cluster, workstation,
                              **kwargs) -> HostStateCache:
-    """Run a host-state cache daemon on ``workstation``."""
+    """Boot a host-state cache on ``workstation``: announce its program
+    manager's binding, then start the anti-entropy daemon and, in the
+    daemon's logical host, the probe dispatcher and its prober team."""
+    kernel = workstation.kernel
+    # One eager-rebind broadcast (§3.1.4) per boot: every kernel learns
+    # where this manager's logical host lives, so no refresh or probe of
+    # it has to resolve the binding with a cluster-wide host query.
+    kernel.ipc.announce_binding(
+        kernel.program_manager.pcb.pid.logical_host_id)
     cache = HostStateCache(cluster, workstation.name, **kwargs)
     cache.pcb = install_service(
         workstation, cache.body(), f"loadcache@{workstation.name}",
     )
+    lh = cache.pcb.logical_host
+    cache.dispatcher = kernel.create_process(
+        lh, cache.dispatcher_body(), priority=Priority.SERVER,
+        name=f"probe-dispatch@{workstation.name}")
+    cache.probers = [
+        kernel.create_process(
+            lh, cache.prober_body(), priority=Priority.SERVER,
+            name=f"prober{i}@{workstation.name}")
+        for i in range(PROBERS)
+    ]
     return cache
 
 
@@ -282,10 +430,13 @@ class PlacementPolicy:
     def _fallback(self, ctx, spec):
         """Degrade to the paper's multicast first-responder selection.
 
-        One multicast makes every willing host answer, and the kernel
-        retains the straggler replies (V's GetReply facility) -- so a
-        single cold-start fallback warms the whole cached view for free
-        instead of wasting the cluster-wide query on one answer.
+        Every willing host answers the one multicast, and the kernel
+        retains the straggler replies (V's GetReply facility); the
+        GetReplies here folds in those that have landed by the time the
+        first reply resumes us.  That is usually none -- the first
+        responder is the requester's own manager or wins by whole
+        packet times -- so a cold fallback teaches the view about one
+        host, and the anti-entropy daemon warms the rest.
         """
         from repro.execution.api import select_candidate_host
 
@@ -327,12 +478,20 @@ class FirstResponder(PlacementPolicy):
 
 
 class RandomK(PlacementPolicy):
-    """Power-of-d-choices probing: sample ``k`` cached-idle hosts, probe
-    their live load, place on the least-loaded prober that is willing.
+    """Power-of-d-choices probing: sample ``k`` cached-idle hosts and
+    probe their live load concurrently.
 
-    O(k) selection messages instead of a cluster-wide multicast; the
-    probes refresh the cache as a side effect.  Falls back to the
-    multicast when the cached view has no fresh idle entries or no
+    The probes go out in :func:`_fit_key` order from the cache's prober
+    team (:meth:`HostStateCache.dispatcher_body`).  The willing answers
+    in after one probe window compete on live load, as
+    power-of-d-choices has them; if none is in yet, the first willing
+    answer wins, the paper's first responder (§2.1) restricted to ``k``
+    hosts.  The window is what keeps the requester's own manager, whose
+    probe never crosses the wire, from winning every race it enters.
+    O(k) selection messages instead of a cluster-wide multicast, and a
+    slow host (a manager busy creating a program) delays nobody.  Every
+    probe reply refreshes the cache, late ones included.  Falls back to
+    the multicast when the cached view has no fresh idle entries or no
     probed host is willing.
     """
 
@@ -361,27 +520,22 @@ class RandomK(PlacementPolicy):
         k = min(self.k, len(candidates))
         sample = candidates if k == len(candidates) else self._stream(
             ctx).sample(candidates, k)
-        m = ctx.sim.metrics
-        best: Optional[HostDigest] = None
-        for d in sorted(sample, key=_fit_key):
-            try:
-                reply = yield Send(d.pm, Message(
-                    "probe-load", memory_needed=spec.memory_needed))
-            except (SendTimeoutError, NoSuchProcessError):
-                cache.drop(d.host)
-                continue
-            if m.active:
-                m.counter("placement.probes").inc()
-            cache.observe_reply(reply)
-            live = HostDigest.from_fields(reply.get("digest") or {})
-            if not reply.get("willing", False) or live is None:
-                continue
-            if best is None or _fit_key(live) < _fit_key(best):
-                best = live
-        if best is None:
+        dispatcher = cache.dispatcher.pid
+        try:
+            ticket = yield Send(dispatcher, Message(
+                "probe-hosts", hosts=tuple(sorted(sample, key=_fit_key)),
+                memory_needed=spec.memory_needed))
+            yield Delay(cache.probe_window_us())
+            reply = yield Send(dispatcher, Message(
+                "probe-choose", request=ticket["request"]))
+        except (SendTimeoutError, NoSuchProcessError):
+            # The cache's workstation is gone (a migrated requester's
+            # home crashed): nobody probes for us, so ask everyone.
+            reply = None
+        if reply is None or reply.kind != "probe-winner":
             result = yield from self._fallback(ctx, spec)
             return result
-        return Selection(pm=best.pm, host=best.host)
+        return Selection(pm=reply["pm"], host=reply["host"])
 
     def backoff_us(self, attempt: int) -> int:
         return 2_000 << attempt

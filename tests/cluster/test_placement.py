@@ -5,7 +5,9 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.cluster import build_cluster
 from repro.cluster.placement import (
+    PROBERS,
     CachedBestFit,
     FirstResponder,
     HostDigest,
@@ -17,7 +19,7 @@ from repro.cluster.placement import (
 from repro.errors import ExecutionError
 from repro.execution import ExecSpec, exec_program, wait_program
 from repro.ipc.messages import Message
-from repro.kernel.process import Send
+from repro.kernel.process import Delay, Send
 from repro.sim import Simulator
 from repro.workloads import standard_registry
 
@@ -262,8 +264,10 @@ def test_crashed_best_fit_choice_times_out_then_retried():
 
 
 def test_randomk_cold_cache_falls_back_and_warms_whole_view():
-    """An empty cache degrades to the paper's multicast -- and the
-    straggler replies (GetReplies) warm the entire view in one shot."""
+    """An empty cache degrades to the paper's multicast, and within the
+    run the view fills up again: the fallback contributes the first
+    responder's digest, the anti-entropy daemon the rest (see
+    ``test_cold_fallback_alone_learns_only_the_first_responder``)."""
     cluster = make_cluster(4, full=True, toggles={"load_cache": True},
                            registry=standard_registry(scale=0.3))
     cache = cluster.host_caches["ws0"]
@@ -279,8 +283,31 @@ def test_randomk_cold_cache_falls_back_and_warms_whole_view():
     cluster.spawn_session(cluster.workstations[0], session)
     cluster.run(until_us=cluster.sim.now + 120_000_000)
     assert done == [0]
-    # Every willing host answered the one multicast; all were folded in.
+    # The daemon's refreshes over the run re-learned the other hosts.
     assert len(cache.entries) >= 3
+
+
+def test_cold_fallback_alone_learns_only_the_first_responder():
+    """With the daemon stopped, one cold fallback leaves one entry: the
+    GetReplies right after the first reply runs before any straggler
+    reply lands, so only the winner's digest reaches the view."""
+    cluster = make_cluster(4, full=True, toggles={"load_cache": True},
+                           registry=standard_registry(scale=0.3))
+    cache = cluster.host_caches["ws0"]
+    cache.stop()
+    done = []
+
+    def session(ctx):
+        handle = yield from exec_program(ctx, ExecSpec(
+            "cc68", args=("x.c",), where="*", policy=RandomK(k=2)))
+        code = yield from wait_program(ctx, handle)
+        done.append((handle, code))
+
+    cluster.spawn_session(cluster.workstations[0], session)
+    cluster.run(until_us=cluster.sim.now + 120_000_000)
+    assert len(done) == 1 and done[0][1] == 0
+    assert cache.stats.refreshes == 0
+    assert list(cache.entries) == [done[0][0].host]
 
 
 def test_probe_placement_toggle_selects_randomk_by_default():
@@ -361,3 +388,155 @@ def test_no_cache_daemons_without_toggle():
     cluster.run(until_us=5_000_000)
     assert sum(pm.refresh_queries
                for pm in cluster.program_managers.values()) == 0
+
+
+# ------------------------------------------------------ bindings and probers
+
+def count_ghq(cluster):
+    """Wrap the Ethernet so every ``ghq`` frame's logical host is
+    recorded; returns the (growing) list."""
+    lhids = []
+    transmit = cluster.net.transmit
+
+    def counting(packet):
+        if packet.kind == "ghq":
+            lhids.append(packet.payload["lhid"])
+        transmit(packet)
+
+    cluster.net.transmit = counting
+    return lhids
+
+
+def test_cache_refreshes_resolve_managers_without_host_queries():
+    """Each cache's boot broadcasts its manager's binding once, so the
+    anti-entropy rounds of an idle 16-host cluster find every manager
+    through the binding caches: no ``ghq`` for a manager's logical host,
+    also for the fresh manager of a rebooted workstation."""
+    cluster = build_cluster(n_workstations=16, placement=True)
+    ghq = count_ghq(cluster)
+    cluster.run(until_us=5_000_000)
+    refreshes = sum(c.stats.refreshes for c in cluster.host_caches.values())
+    assert refreshes >= 16 * 4
+    managers = {pm.pcb.pid.logical_host_id
+                for pm in cluster.program_managers.values()}
+    assert not managers & set(ghq)
+
+    cluster.sim.strict = False
+    cluster.reboot_workstation("ws5")
+    fresh = cluster.pm("ws5").pcb.pid
+    cluster.run(until_us=cluster.sim.now + 10_000_000)
+    refreshed = [name for name, cache in cluster.host_caches.items()
+                 if name != "ws5" and "ws5" in cache.entries
+                 and cache.entries["ws5"].pm == fresh]
+    assert refreshed
+    assert fresh.logical_host_id not in ghq
+
+
+def test_one_binding_broadcast_per_cache_boot():
+    """Booting puts one ``binding`` frame on the wire per cache, and a
+    cluster without caches boots silent."""
+    bare = make_cluster(4, full=True, registry=standard_registry(scale=0.3))
+    assert bare.net.packets_sent == 0
+    cluster = make_cluster(4, full=True, toggles={"load_cache": True},
+                           registry=standard_registry(scale=0.3))
+    assert cluster.net.packets_sent == 4
+    cluster.sim.strict = False
+    cluster.reboot_workstation("ws2")
+    assert cluster.net.packets_sent == 5
+
+
+def test_cache_boots_a_prober_team_beside_its_daemon():
+    cluster = make_cluster(2, full=True, toggles={"load_cache": True},
+                           registry=standard_registry(scale=0.3))
+    cache = cluster.host_caches["ws1"]
+    assert len(cache.probers) == PROBERS
+    team = [cache.dispatcher] + cache.probers
+    assert {p.logical_host for p in team} == {cache.pcb.logical_host}
+    assert all(p.logical_host.kernel.name == "ws1" for p in team)
+
+
+def warm_view(cluster, cache):
+    from repro.cluster.placement import HostDigest
+
+    for pm in cluster.program_managers.values():
+        cache.observe(HostDigest.from_fields(pm.load_digest()))
+
+
+def test_randomk_probes_its_k_hosts_concurrently():
+    """Three probes cost one probe's time, not three: the prober team
+    runs them at once, and the choice is ready after one probe window."""
+    cluster = make_cluster(4, full=True, toggles={"load_cache": True},
+                           registry=standard_registry(scale=0.3))
+    cache = cluster.host_caches["ws0"]
+    cache.stop()
+    chosen = []
+
+    def session(ctx):
+        warm_view(cluster, cache)
+        before = ctx.sim.now
+        selection = yield from RandomK(k=3).select(
+            ctx, ExecSpec("cc68", where="*"), 0, set())
+        chosen.append((selection, ctx.sim.now - before))
+
+    cluster.spawn_session(cluster.workstations[0], session)
+    cluster.run(until_us=2_000_000)
+    (selection, elapsed), = chosen
+    assert selection is not None and selection.host in cluster.program_managers
+    probe_us = cluster.model.host_query_handling_us
+    assert cache.probe_window_us() <= elapsed < 2 * probe_us
+    assert sum(pm.selection_queries
+               for pm in cluster.program_managers.values()) == 3
+
+
+def test_randomk_does_not_wait_for_a_dead_host():
+    """A probed host that died does not hold up the choice: the live
+    probes answer within the window, and the dead one's timeout later
+    drops it from the view."""
+    cluster = make_cluster(4, full=True, toggles={"load_cache": True},
+                           registry=standard_registry(scale=0.3))
+    cache = cluster.host_caches["ws0"]
+    cache.stop()
+    cluster.sim.strict = False
+    chosen = []
+
+    def session(ctx):
+        warm_view(cluster, cache)
+        cluster.station("ws1").kernel.crash()
+        before = ctx.sim.now
+        selection = yield from RandomK(k=3).select(
+            ctx, ExecSpec("cc68", where="*"), 0, {"ws0"})
+        chosen.append((selection, ctx.sim.now - before))
+
+    cluster.spawn_session(cluster.workstations[0], session)
+    cluster.run(until_us=200_000)
+    (selection, elapsed), = chosen
+    assert selection.host in ("ws2", "ws3")
+    assert elapsed < 2 * cluster.model.host_query_handling_us
+    assert "ws1" in cache.entries
+    cluster.run(until_us=30_000_000)
+    assert "ws1" not in cache.entries
+
+
+def test_dispatcher_answers_none_when_every_probe_declines():
+    """No willing host among the probed: ``probe-none``, after every
+    probe has reported (RandomK then falls back to the multicast)."""
+    cluster = make_cluster(3, full=True, toggles={"load_cache": True},
+                           registry=standard_registry(scale=0.3))
+    cache = cluster.host_caches["ws0"]
+    replies = []
+
+    def session(ctx):
+        warm_view(cluster, cache)
+        dispatcher = cache.dispatcher.pid
+        ticket = yield Send(dispatcher, Message(
+            "probe-hosts", hosts=tuple(cache.fresh_entries()),
+            memory_needed=1 << 30))
+        yield Delay(1_000)
+        reply = yield Send(dispatcher, Message(
+            "probe-choose", request=ticket["request"]))
+        replies.append(reply)
+
+    cluster.spawn_session(cluster.workstations[0], session)
+    cluster.run(until_us=2_000_000)
+    assert [r.kind for r in replies] == ["probe-none"]
+    assert len(cache.fresh_entries()) == 3
